@@ -20,10 +20,10 @@ form:
   two-moment fit.
 
 The series here uses the summation range r = 0..M-k_self and exponent
-r+lam that the underlying integral produces.  A "shifted" variant
-(range r = 1..M-k_self+1, exponent r+lam-1) is kept behind a switch on
-success_prob_equal_k so the two conventions can be compared against an
-integration oracle; it is not used for any result.
+r+lam that the underlying integral produces.  The "shifted" indexing
+(range r = 1..M-k_self+1, exponent r+lam-1) is not implemented here; the
+tests build it in their oracle module and show that it misses the
+integral.
 """
 
 from __future__ import annotations
@@ -56,29 +56,21 @@ __all__ = [
 ]
 
 
-def _series_sum(num_extra: int, d: float, lam: float, shifted: bool) -> float:
+def _series_sum(num_extra: int, d: float, lam: float) -> float:
     """Log-domain evaluation of the success series.
 
-    num_extra is M - k_self, the number of terms beyond r = 0.  The
-    shifted flag selects the alternative indexing (r from 1 to
-    num_extra + 1, denominator exponent r + lam - 1); both variants are
-    evaluated term by term through log_gamma so that lam of order 10^3
-    neither overflows nor loses the factorial ratios.
+    num_extra is M - k_self, the number of terms beyond r = 0.  Terms
+    are evaluated through log_gamma so that lam of order 10^3 neither
+    overflows nor loses the factorial ratios.
     """
     log_d = math.log(d)
     log_1pd = math.log1p(d)
     lg_lam = log_gamma(lam)
     terms = []
-    if shifted:
-        r_range = range(1, num_extra + 2)
-        shift = 1.0
-    else:
-        r_range = range(0, num_extra + 1)
-        shift = 0.0
-    for r in r_range:
+    for r in range(0, num_extra + 1):
         log_term = (
             r * log_d
-            - (r + lam - shift) * log_1pd
+            - (r + lam) * log_1pd
             + log_gamma(r + lam)
             - log_gamma(r + 1.0)
             - lg_lam
@@ -100,15 +92,11 @@ def success_prob_equal_k(
     k_self: int,
     k_other: int,
     beta: float,
-    *,
-    series: str = "ccdf",
 ) -> float:
     """P(SIR >= beta) for one stream when every interferer runs k_other streams.
 
     The interference k_other * I is a sum of (N-1)*k_other unit
-    exponentials, so the result is exact (no moment matching).  The
-    default series="ccdf" is the integral-consistent form; series="shifted"
-    evaluates the alternative indexing for comparison purposes only.
+    exponentials, so the result is exact (no moment matching).
     """
     if not (isinstance(num_antennas, int) and num_antennas >= 1):
         raise DomainError(f"num_antennas must be an int >= 1, got {num_antennas!r}")
@@ -118,12 +106,10 @@ def success_prob_equal_k(
     _check_stream_count("k_other", k_other, num_antennas)
     if not (math.isfinite(beta) and beta > 0.0):
         raise DomainError(f"beta must be finite and > 0, got {beta!r}")
-    if series not in ("ccdf", "shifted"):
-        raise DomainError(f"series must be 'ccdf' or 'shifted', got {series!r}")
 
     lam = float((num_links - 1) * k_other)
     d = beta * k_self / k_other
-    total = _series_sum(num_antennas - k_self, d, lam, series == "shifted")
+    total = _series_sum(num_antennas - k_self, d, lam)
     return clamp_probability(total)
 
 
@@ -199,7 +185,7 @@ def success_prob_general(
     weights = [1.0 / k for k in others for _ in range(k)]
     params = gamma_approx_params(weights)
     d = beta * k_self / params.rate
-    total = _series_sum(num_antennas - k_self, d, params.shape, shifted=False)
+    total = _series_sum(num_antennas - k_self, d, params.shape)
     return clamp_probability(total)
 
 

@@ -24,14 +24,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
 from . import analytic, montecarlo, optimizer
 from .core import (
     DomainError,
-    NumericalError,
     SearchBudgetError,
     StreamAllocation,
     SystemConfig,
@@ -43,74 +41,57 @@ from .core import (
 _BACKENDS = ("analytic", "mc", "both")
 _FORMATS = ("csv", "json")
 
+# Every optional value of every subcommand.  _COMMAND_DEFAULTS replaces
+# the few that differ for one command or figure; a config file and then
+# explicit flags override both.
 _DEFAULTS = {
     "beta": 1.0,
     "rate": 1.0,
+    "alloc": None,
     "alloc_sweep": False,
     "backend": "analytic",
     "trials": 100_000,
     "seed": 0,
     "workers": 1,
+    "out": None,
     "format": "csv",
+    "k_other": 1,
+    "window": 5,
+    "cap": 10_000,
+    "mode": "exhaustive",
+    "budget": 1_000_000,
+    "max_sweeps": 50,
 }
 
-# Keys a scenario config file may set, with their parsers.
-_FILE_KEYS = {
-    "links": int,
-    "antennas": int,
-    "beta": float,
-    "rate": float,
-    "rate_to_beta": float,
-    "alloc": str,
-    "alloc_sweep": None,  # boolean, parsed specially
-    "backend": str,
-    "trials": int,
-    "seed": int,
-    "workers": int,
-    "out": str,
-    "format": str,
+_COMMAND_DEFAULTS = {
+    "validate": {"trials": 20_000},
+    "fig1": {"antennas": 10, "n_list": (5, 10, 15, 20, 30)},
+    "fig2": {"antennas": 5, "links": 5, "beta_list": (0.25, 0.5, 1.0, 2.0, 4.0)},
+    "fig3": {"antennas": 3, "links": 3},
 }
 
+# Comma-separated flags: element type, and the message for a bad entry.
+_LISTS = {
+    "alloc": (int, "alloc must be comma-separated integers"),
+    "n_list": (int, "expected comma-separated values"),
+    "beta_list": (float, "expected comma-separated values"),
+}
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Fully resolved scenario: defaults, config file, and flags merged."""
+# Column suffixes (analytic, Monte Carlo) of the two backends' cells.
+_PLAIN = ("", "")
+_SUFFIXED = ("_analytic", "_mc")
+_FIGURE = ("", "_mc")
 
-    links: int
-    antennas: int
-    beta: float
-    rate: float
-    alloc: tuple[int, ...] | None
-    alloc_sweep: bool
-    backend: str
-    trials: int
-    seed: int
-    workers: int
-    out: str | None
-    format: str
-
-    def system_config(self) -> SystemConfig:
-        return SystemConfig(
-            num_links=self.links,
-            num_antennas=self.antennas,
-            sir_threshold=self.beta,
-            rate=self.rate,
-        )
-
-    def allocation(self) -> StreamAllocation:
-        streams = self.alloc
-        if streams is None:
-            streams = (1,) * self.links
-        alloc = StreamAllocation(streams)
-        alloc.validate_against(self.system_config())
-        return alloc
+# Stamp keys of the commands that take a scenario (capacity, optimize).
+_SCENARIO_STAMP = ("links", "antennas", "beta", "rate", "backend")
 
 
-def _parse_alloc(text: str) -> tuple[int, ...]:
+def _parse_list(key: str, text: str) -> tuple:
+    kind, message = _LISTS[key]
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(kind(part) for part in text.split(","))
     except ValueError:
-        raise DomainError(f"alloc must be comma-separated integers, got {text!r}")
+        raise DomainError(f"{message}, got {text!r}")
 
 
 def _parse_bool(text: str) -> bool:
@@ -122,11 +103,22 @@ def _parse_bool(text: str) -> bool:
     raise DomainError(f"expected a boolean, got {text!r}")
 
 
-def _parse_number_list(text: str, kind) -> tuple:
-    try:
-        return tuple(kind(part) for part in text.split(","))
-    except ValueError:
-        raise DomainError(f"expected comma-separated values, got {text!r}")
+# Keys a scenario config file may set, with their parsers.
+_FILE_KEYS = {
+    "links": int,
+    "antennas": int,
+    "beta": float,
+    "rate": float,
+    "rate_to_beta": float,
+    "alloc": lambda text: _parse_list("alloc", text),
+    "alloc_sweep": _parse_bool,
+    "backend": str,
+    "trials": int,
+    "seed": int,
+    "workers": int,
+    "out": str,
+    "format": str,
+}
 
 
 def _load_config_file(path: str) -> dict:
@@ -149,13 +141,9 @@ def _load_config_file(path: str) -> dict:
         if key not in _FILE_KEYS:
             raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            if key == "alloc_sweep":
-                values[key] = _parse_bool(value)
-            elif key == "alloc":
-                values[key] = _parse_alloc(value)
-            else:
-                values[key] = _FILE_KEYS[key](value)
+            values[key] = _FILE_KEYS[key](value)
         except DomainError:
+            # A DomainError is also a ValueError, and already names the value.
             raise
         except ValueError:
             raise DomainError(f"{path}:{lineno}: bad value {value!r} for {key!r}")
@@ -168,81 +156,48 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def _resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
-    """Merge defaults < config file < explicit command-line flags."""
+def _resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """Merge defaults < config file < explicit command-line flags.
+
+    The result holds every value the command reads.  Commands that read
+    a config file (capacity, optimize) have no built-in scenario, so they
+    need links and antennas from the file or the flags.
+    """
     merged: dict = dict(_DEFAULTS)
-    file_vals = _load_config_file(args.config) if args.config else {}
+    merged.update(_COMMAND_DEFAULTS.get(getattr(args, "which", args.command), {}))
+    file_vals = _load_config_file(args.config) if getattr(args, "config", None) else {}
     merged.update(file_vals)
 
-    cli_vals = {}
-    for key in (
-        "links",
-        "antennas",
-        "beta",
-        "rate",
-        "rate_to_beta",
-        "alloc",
-        "alloc_sweep",
-        "backend",
-        "trials",
-        "seed",
-        "workers",
-        "out",
-        "format",
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
-            cli_vals[key] = value
-    if "alloc" in cli_vals:
-        cli_vals["alloc"] = _parse_alloc(cli_vals["alloc"])
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+    for key in _LISTS:
+        if key not in flags:
+            continue
+        if flags[key] or key == "alloc":
+            flags[key] = _parse_list(key, flags[key])
+        else:
+            del flags[key]  # an empty figure list keeps the default list
     # A threshold given on the command line replaces one from the file,
     # whichever of the two spellings each source used.
-    if "beta" in cli_vals:
+    if "beta" in flags:
         merged.pop("rate_to_beta", None)
-    if "rate_to_beta" in cli_vals:
-        merged.pop("beta", None)
-    merged.update(cli_vals)
+    merged.update(flags)
 
     rate_to_beta = merged.pop("rate_to_beta", None)
     if rate_to_beta is not None:
         if not rate_to_beta > 0.0:
             raise DomainError(f"rate_to_beta must be > 0, got {rate_to_beta!r}")
         merged["beta"] = 2.0**rate_to_beta - 1.0
-        if "rate" not in file_vals and "rate" not in cli_vals:
+        if "rate" not in file_vals and "rate" not in flags:
             merged["rate"] = rate_to_beta
-    merged.setdefault("beta", _DEFAULTS["beta"])
 
-    if merged.get("links") is None:
-        raise DomainError("links is required (flag --links or config file)")
-    if merged.get("antennas") is None:
-        raise DomainError("antennas is required (flag --antennas or config file)")
-    if merged["backend"] not in _BACKENDS:
-        raise DomainError(f"backend must be one of {_BACKENDS}")
-    if merged["format"] not in _FORMATS:
-        raise DomainError(f"format must be one of {_FORMATS}")
-    if merged.get("alloc") is not None and merged.get("alloc_sweep"):
+    if "config" in args:
+        for key in ("links", "antennas"):
+            if merged.get(key) is None:
+                raise DomainError(f"{key} is required (flag --{key} or config file)")
+    if merged["alloc"] is not None and merged["alloc_sweep"]:
         raise DomainError("alloc and alloc_sweep are mutually exclusive")
-
-    spec = ExperimentSpec(
-        links=merged["links"],
-        antennas=merged["antennas"],
-        beta=merged["beta"],
-        rate=merged["rate"],
-        alloc=merged.get("alloc"),
-        alloc_sweep=bool(merged.get("alloc_sweep")),
-        backend=merged["backend"],
-        trials=merged["trials"],
-        seed=merged["seed"],
-        workers=merged["workers"],
-        out=merged.get("out"),
-        format=merged["format"],
-    )
-    _check_trials(spec.backend, spec.trials)
-    return spec
-
-
-def _check_trials(backend: str, trials: int) -> None:
-    if backend in ("mc", "both"):
+    if merged["backend"] != "analytic":
+        trials = merged["trials"]
         if trials < 1_000:
             raise DomainError(
                 f"trials must be >= 1000 for Monte Carlo backends, got {trials}"
@@ -253,6 +208,7 @@ def _check_trials(backend: str, trials: int) -> None:
                 "standard errors will be wide",
                 file=sys.stderr,
             )
+    return argparse.Namespace(**merged)
 
 
 def _fmt(value) -> str:
@@ -265,16 +221,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(out: str | None, fmt: str, stamp: dict, columns: list, rows: list) -> None:
-    if fmt == "csv":
-        lines = ["# " + " ".join(f"{k}={_fmt(v)}" for k, v in stamp.items())]
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        text = "\n".join(lines) + "\n"
-    else:
-        payload = {"spec": stamp, "columns": columns, "rows": rows}
-        text = json.dumps(payload, indent=2) + "\n"
+def _write(out: str | None, text: str) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
@@ -282,336 +229,227 @@ def _emit(out: str | None, fmt: str, stamp: dict, columns: list, rows: list) -> 
             fh.write(text)
 
 
-def _base_stamp(cmd: str, spec: ExperimentSpec) -> dict:
-    stamp = {
-        "cmd": cmd,
-        "links": spec.links,
-        "antennas": spec.antennas,
-        "beta": spec.beta,
-        "rate": spec.rate,
-        "backend": spec.backend,
-    }
-    if spec.backend in ("mc", "both"):
-        stamp["trials"] = spec.trials
-        stamp["seed"] = spec.seed
+def _emit(run: argparse.Namespace, stamp: dict, rows: list[dict]) -> None:
+    """Write the stamp and the rows; the keys of each row are the columns."""
+    columns = list(rows[0])
+    if run.format == "csv":
+        lines = ["# " + " ".join(f"{k}={_fmt(v)}" for k, v in stamp.items())]
+        lines.append(",".join(columns))
+        for row in rows:
+            lines.append(",".join(_fmt(v) for v in row.values()))
+        text = "\n".join(lines) + "\n"
+    else:
+        values = [list(row.values()) for row in rows]
+        payload = {"spec": stamp, "columns": columns, "rows": values}
+        text = json.dumps(payload, indent=2) + "\n"
+    _write(run.out, text)
+
+
+def _stamp(run: argparse.Namespace, *keys: str) -> dict:
+    """The command, the named run values, then trials and seed if simulated."""
+    stamp = {"cmd": run.command}
+    stamp.update((key, getattr(run, key)) for key in keys)
+    if run.backend != "analytic":
+        stamp["trials"] = run.trials
+        stamp["seed"] = run.seed
     return stamp
 
 
-def cmd_capacity(spec: ExperimentSpec) -> int:
-    config = spec.system_config()
-    stamp = _base_stamp("capacity", spec)
+def _k_columns(streams: Sequence[int]) -> dict:
+    return {f"k{i + 1}": k for i, k in enumerate(streams)}
 
-    if spec.alloc_sweep:
-        total = spec.antennas**spec.links
+
+def _cells(prob: float, capacity: float, std_error: float | None = None) -> dict:
+    """One backend's cells for a link; only Monte Carlo has a std_error."""
+    cells = {"success_prob": prob}
+    if std_error is not None:
+        cells["std_error"] = std_error
+    cells["capacity"] = capacity
+    return cells
+
+
+def _join(row: dict, cells: dict, suffixes: tuple, abs_diff: bool) -> dict:
+    """Append each backend's cells to ``row`` and return it.
+
+    ``cells`` maps "analytic" and/or "mc" to that backend's ordered
+    {column: value} cells; a column is named with the backend's entry of
+    ``suffixes``.  With both backends and ``abs_diff``, a last column
+    holds the gap between the two backends' first cells.
+    """
+    for backend, values in cells.items():
+        suffix = suffixes[0] if backend == "analytic" else suffixes[1]
+        for name, value in values.items():
+            row[name + suffix] = value
+    if abs_diff and len(cells) == 2:
+        first, second = (next(iter(values.values())) for values in cells.values())
+        row["abs_diff"] = abs(first - second)
+    return row
+
+
+def _reports(
+    run: argparse.Namespace, config: SystemConfig, alloc: StreamAllocation
+) -> dict:
+    """Outage report of each backend the run uses, analytic first."""
+    reports = {}
+    if run.backend != "mc":
+        reports["analytic"] = analytic.sum_capacity_analytic(config, alloc)
+    if run.backend != "analytic":
+        reports["mc"] = montecarlo.empirical_outage(
+            config, alloc, run.trials, run.seed, workers=run.workers
+        )
+    return reports
+
+
+def _allocation_sweep(
+    run: argparse.Namespace, config: SystemConfig, suffixes: tuple, abs_diff: bool
+) -> list[dict]:
+    """One row of sum capacities per allocation, in lexicographic order."""
+    rows = []
+    for streams in product(range(1, run.antennas + 1), repeat=run.links):
+        reports = _reports(run, config, StreamAllocation(streams))
+        cells = {
+            backend: {"sum_capacity": report.sum_capacity}
+            for backend, report in reports.items()
+        }
+        rows.append(_join(_k_columns(streams), cells, suffixes, abs_diff))
+    return rows
+
+
+def cmd_capacity(run: argparse.Namespace) -> int:
+    config = SystemConfig(run.links, run.antennas, run.beta, run.rate)
+    stamp = _stamp(run, *_SCENARIO_STAMP)
+
+    if run.alloc_sweep:
+        total = run.antennas**run.links
         if total > 1_000_000:
             raise SearchBudgetError(
                 f"alloc sweep would cover {total} allocations (budget 1000000)"
             )
         stamp["alloc"] = "sweep"
-        columns = [f"k{i + 1}" for i in range(spec.links)]
-        if spec.backend in ("analytic", "both"):
-            columns.append("sum_capacity_analytic")
-        if spec.backend in ("mc", "both"):
-            columns.append("sum_capacity_mc")
-        if spec.backend == "both":
-            columns.append("abs_diff")
-        rows = []
-        for streams in product(range(1, spec.antennas + 1), repeat=spec.links):
-            alloc = StreamAllocation(streams)
-            row: list = list(streams)
-            if spec.backend in ("analytic", "both"):
-                row.append(analytic.sum_capacity_analytic(config, alloc).sum_capacity)
-            if spec.backend in ("mc", "both"):
-                row.append(
-                    montecarlo.empirical_outage(
-                        config, alloc, spec.trials, spec.seed, workers=spec.workers
-                    ).sum_capacity
-                )
-            if spec.backend == "both":
-                row.append(abs(row[-2] - row[-1]))
-            rows.append(row)
-        _emit(spec.out, spec.format, stamp, columns, rows)
+        _emit(run, stamp, _allocation_sweep(run, config, _SUFFIXED, True))
         return 0
 
-    alloc = spec.allocation()
+    streams = run.alloc if run.alloc is not None else (1,) * run.links
+    alloc = StreamAllocation(streams)
+    alloc.validate_against(config)
     stamp["alloc"] = ",".join(str(k) for k in alloc.streams)
-    analytic_report = (
-        analytic.sum_capacity_analytic(config, alloc)
-        if spec.backend in ("analytic", "both")
-        else None
-    )
-    mc_report = (
-        montecarlo.empirical_outage(
-            config, alloc, spec.trials, spec.seed, workers=spec.workers
-        )
-        if spec.backend in ("mc", "both")
-        else None
-    )
-
+    reports = _reports(run, config, alloc)
+    # With both backends the table compares per-link values side by side;
+    # the sum capacity appears only in a single-backend table.
+    both = len(reports) == 2
     rows = []
-    if spec.backend == "analytic":
-        columns = ["link", "streams", "success_prob", "capacity", "sum_capacity"]
-        for n in range(spec.links):
-            rows.append(
-                [
-                    n + 1,
-                    alloc.streams[n],
-                    analytic_report.per_link_success_prob[n],
-                    analytic_report.per_link_capacity[n],
-                    analytic_report.sum_capacity,
-                ]
+    for n, k in enumerate(alloc.streams):
+        cells = {}
+        for backend, report in reports.items():
+            std_error = None if report.std_error is None else report.std_error[n]
+            cells[backend] = _cells(
+                report.per_link_success_prob[n], report.per_link_capacity[n], std_error
             )
-    elif spec.backend == "mc":
-        columns = [
-            "link",
-            "streams",
-            "success_prob",
-            "std_error",
-            "capacity",
-            "sum_capacity",
-        ]
-        for n in range(spec.links):
-            rows.append(
-                [
-                    n + 1,
-                    alloc.streams[n],
-                    mc_report.per_link_success_prob[n],
-                    mc_report.std_error[n],
-                    mc_report.per_link_capacity[n],
-                    mc_report.sum_capacity,
-                ]
-            )
-    else:
-        columns = [
-            "link",
-            "streams",
-            "success_prob_analytic",
-            "capacity_analytic",
-            "success_prob_mc",
-            "std_error_mc",
-            "capacity_mc",
-            "abs_diff",
-        ]
-        for n in range(spec.links):
-            rows.append(
-                [
-                    n + 1,
-                    alloc.streams[n],
-                    analytic_report.per_link_success_prob[n],
-                    analytic_report.per_link_capacity[n],
-                    mc_report.per_link_success_prob[n],
-                    mc_report.std_error[n],
-                    mc_report.per_link_capacity[n],
-                    abs(
-                        analytic_report.per_link_success_prob[n]
-                        - mc_report.per_link_success_prob[n]
-                    ),
-                ]
-            )
-    _emit(spec.out, spec.format, stamp, columns, rows)
+            if not both:
+                cells[backend]["sum_capacity"] = report.sum_capacity
+        row = {"link": n + 1, "streams": k}
+        rows.append(_join(row, cells, _SUFFIXED if both else _PLAIN, both))
+    _emit(run, stamp, rows)
     return 0
 
 
-def _figure_scenarios(args: argparse.Namespace):
-    """Resolve the per-figure defaults and override lists."""
-    which = args.which
-    n_list = (
-        _parse_number_list(args.n_list, int)
-        if args.n_list
-        else (5, 10, 15, 20, 30)
-    )
-    beta_list = (
-        _parse_number_list(args.beta_list, float)
-        if args.beta_list
-        else (0.25, 0.5, 1.0, 2.0, 4.0)
-    )
-    if which == "fig1":
-        antennas = args.antennas if args.antennas is not None else 10
-        beta = args.beta if args.beta is not None else 1.0
-        return which, antennas, beta, n_list, beta_list, None
-    if which == "fig2":
-        antennas = args.antennas if args.antennas is not None else 5
-        links = args.links if args.links is not None else 5
-        return which, antennas, None, None, beta_list, links
-    antennas = args.antennas if args.antennas is not None else 3
-    links = args.links if args.links is not None else 3
-    beta = args.beta if args.beta is not None else 1.0
-    return which, antennas, beta, None, None, links
+def cmd_figure(run: argparse.Namespace) -> int:
+    stamp = _stamp(run, "which", "antennas", "rate", "backend")
+    if run.which == "fig3":
+        stamp["links"] = run.links
+        stamp["beta"] = run.beta
+        config = SystemConfig(run.links, run.antennas, run.beta, run.rate)
+        _emit(run, stamp, _allocation_sweep(run, config, _FIGURE, False))
+        return 0
 
-
-def cmd_figure(args: argparse.Namespace) -> int:
-    which, antennas, beta, n_list, beta_list, links = _figure_scenarios(args)
-    rate = args.rate if args.rate is not None else 1.0
-    backend = args.backend if args.backend is not None else "analytic"
-    if backend not in _BACKENDS:
-        raise DomainError(f"backend must be one of {_BACKENDS}")
-    trials = args.trials if args.trials is not None else _DEFAULTS["trials"]
-    seed = args.seed if args.seed is not None else 0
-    workers = args.workers if args.workers is not None else 1
-    fmt = args.format if args.format is not None else "csv"
-    if fmt not in _FORMATS:
-        raise DomainError(f"format must be one of {_FORMATS}")
-    if backend in ("mc", "both"):
-        _check_trials(backend, trials)
-
-    with_mc = backend in ("mc", "both")
-    with_analytic = backend in ("analytic", "both")
-    stamp = {"cmd": "figure", "which": which, "antennas": antennas, "rate": rate,
-             "backend": backend}
-    if with_mc:
-        stamp["trials"] = trials
-        stamp["seed"] = seed
-
-    rows: list = []
-    if which == "fig1":
-        stamp["beta"] = beta
-        stamp["n_list"] = ",".join(str(n) for n in n_list)
-        columns = ["links", "k1"]
-        columns += ["success_prob", "capacity"] if with_analytic else []
-        columns += ["success_prob_mc", "std_error_mc", "capacity_mc"] if with_mc else []
-        for n in n_list:
-            config = SystemConfig(n, antennas, beta, rate)
-            for k1 in range(1, antennas + 1):
-                alloc = StreamAllocation((k1,) + (1,) * (n - 1))
-                row: list = [n, k1]
-                if with_analytic:
-                    p = analytic.success_prob_equal_k(antennas, n, k1, 1, beta)
-                    row += [p, rate * k1 * p]
-                if with_mc:
-                    est = montecarlo.empirical_link_success(
-                        config, alloc, 0, trials, seed, workers=workers
-                    )
-                    row += [est.prob, est.std_error, rate * k1 * est.prob]
-                rows.append(row)
-    elif which == "fig2":
-        stamp["links"] = links
-        stamp["beta_list"] = ",".join(repr(b) for b in beta_list)
-        columns = ["beta", "k1"]
-        columns += ["success_prob", "capacity"] if with_analytic else []
-        columns += ["success_prob_mc", "std_error_mc", "capacity_mc"] if with_mc else []
-        for b in beta_list:
-            config = SystemConfig(links, antennas, b, rate)
-            for k1 in range(1, antennas + 1):
+    # fig1 sweeps the link count at one threshold, fig2 the threshold at
+    # one link count; both vary the streams k1 of link 0 only.
+    if run.which == "fig1":
+        stamp["beta"] = run.beta
+        stamp["n_list"] = ",".join(str(n) for n in run.n_list)
+        column, values = "links", run.n_list
+    else:
+        stamp["links"] = run.links
+        stamp["beta_list"] = ",".join(repr(b) for b in run.beta_list)
+        column, values = "beta", run.beta_list
+    rows = []
+    for value in values:
+        links, beta = (value, run.beta) if column == "links" else (run.links, value)
+        config = SystemConfig(links, run.antennas, beta, run.rate)
+        for k1 in range(1, run.antennas + 1):
+            cells = {}
+            if run.backend != "mc":
+                p = analytic.success_prob_equal_k(run.antennas, links, k1, 1, beta)
+                cells["analytic"] = _cells(p, run.rate * k1 * p)
+            if run.backend != "analytic":
+                # Only link 0's estimate is printed, so only link 0 is
+                # simulated (empirical_outage would simulate every link).
                 alloc = StreamAllocation((k1,) + (1,) * (links - 1))
-                row = [b, k1]
-                if with_analytic:
-                    p = analytic.success_prob_equal_k(antennas, links, k1, 1, b)
-                    row += [p, rate * k1 * p]
-                if with_mc:
-                    est = montecarlo.empirical_link_success(
-                        config, alloc, 0, trials, seed, workers=workers
-                    )
-                    row += [est.prob, est.std_error, rate * k1 * est.prob]
-                rows.append(row)
-    else:
-        stamp["links"] = links
-        stamp["beta"] = beta
-        config = SystemConfig(links, antennas, beta, rate)
-        columns = [f"k{i + 1}" for i in range(links)]
-        columns += ["sum_capacity"] if with_analytic else []
-        columns += ["sum_capacity_mc"] if with_mc else []
-        for streams in product(range(1, antennas + 1), repeat=links):
-            alloc = StreamAllocation(streams)
-            row = list(streams)
-            if with_analytic:
-                row.append(analytic.sum_capacity_analytic(config, alloc).sum_capacity)
-            if with_mc:
-                row.append(
-                    montecarlo.empirical_outage(
-                        config, alloc, trials, seed, workers=workers
-                    ).sum_capacity
+                est = montecarlo.empirical_link_success(
+                    config, alloc, 0, run.trials, run.seed, workers=run.workers
                 )
-            rows.append(row)
-
-    _emit(args.out, fmt, stamp, columns, rows)
+                cells["mc"] = _cells(est.prob, run.rate * k1 * est.prob, est.std_error)
+            rows.append(_join({column: value, "k1": k1}, cells, _FIGURE, False))
+    _emit(run, stamp, rows)
     return 0
 
 
-def cmd_nstar(args: argparse.Namespace) -> int:
-    antennas = args.antennas
-    beta = args.beta if args.beta is not None else 1.0
-    k_other = args.k_other if args.k_other is not None else 1
-    fmt = args.format if args.format is not None else "csv"
-    if fmt not in _FORMATS:
-        raise DomainError(f"format must be one of {_FORMATS}")
+def cmd_nstar(run: argparse.Namespace) -> int:
     threshold = optimizer.empirical_threshold(
-        antennas,
-        beta,
-        k_other,
-        window=args.window if args.window is not None else 5,
-        cap=args.cap if args.cap is not None else 10_000,
+        run.antennas, run.beta, run.k_other, window=run.window, cap=run.cap
     )
     analytic_result = threshold.analytic
-    stamp = {"cmd": "nstar", "antennas": antennas, "beta": beta, "k_other": k_other}
-    columns = [
-        "analytic_n_star",
-        "binding_p",
-        "empirical_threshold",
-        "analytic_ratio",
-        "empirical_ratio",
-    ]
-    rows = [
-        [
-            analytic_result.n_star,
-            analytic_result.binding_p,
-            threshold.threshold,
-            analytic_result.n_star / antennas,
-            threshold.threshold / antennas,
-        ]
-    ]
-    _emit(args.out, fmt, stamp, columns, rows)
+    stamp = _stamp(run, "antennas", "beta", "k_other")
+    row = {
+        "analytic_n_star": analytic_result.n_star,
+        "binding_p": analytic_result.binding_p,
+        "empirical_threshold": threshold.threshold,
+        "analytic_ratio": analytic_result.n_star / run.antennas,
+        "empirical_ratio": threshold.threshold / run.antennas,
+    }
+    _emit(run, stamp, [row])
     return 0
 
 
-def cmd_optimize(args: argparse.Namespace) -> int:
-    spec = _resolve_spec(args)
-    if spec.backend == "both":
+def cmd_optimize(run: argparse.Namespace) -> int:
+    if run.backend == "both":
         raise DomainError("optimize takes backend analytic or mc, not both")
-    objective = "analytic" if spec.backend == "analytic" else "montecarlo"
-    mode = args.mode if args.mode is not None else "exhaustive"
-    budget = args.budget if args.budget is not None else 1_000_000
-    max_sweeps = args.max_sweeps if args.max_sweeps is not None else 50
-    config = spec.system_config()
+    objective = "analytic" if run.backend == "analytic" else "montecarlo"
     result = optimizer.maximize_sum_capacity(
-        config,
-        mode=mode,
+        SystemConfig(run.links, run.antennas, run.beta, run.rate),
+        mode=run.mode,
         objective=objective,
-        budget=budget,
-        max_sweeps=max_sweeps,
-        trials=spec.trials if objective == "montecarlo" else None,
-        seed=spec.seed if objective == "montecarlo" else None,
-        workers=spec.workers,
+        budget=run.budget,
+        max_sweeps=run.max_sweeps,
+        trials=run.trials if objective == "montecarlo" else None,
+        seed=run.seed if objective == "montecarlo" else None,
+        workers=run.workers,
     )
-    stamp = _base_stamp("optimize", spec)
-    stamp["mode"] = mode
-    stamp["best"] = ",".join(str(k) for k in result.best_allocation.streams)
-    if mode == "exhaustive":
-        columns = [f"k{i + 1}" for i in range(spec.links)] + ["sum_capacity", "is_best"]
+    best = result.best_allocation.streams
+    stamp = _stamp(run, *_SCENARIO_STAMP)
+    stamp["mode"] = run.mode
+    stamp["best"] = ",".join(str(k) for k in best)
+    if run.mode == "exhaustive":
         rows = []
         for streams, value in result.per_candidate_values.items():
-            rows.append(
-                list(streams)
-                + [value, 1 if streams == result.best_allocation.streams else 0]
-            )
+            row = {**_k_columns(streams), "sum_capacity": value}
+            row["is_best"] = 1 if streams == best else 0
+            rows.append(row)
     else:
-        columns = [f"k{i + 1}" for i in range(spec.links)] + [
-            "sum_capacity",
-            "fixed_point",
-            "evaluations",
-        ]
-        rows = [
-            list(result.best_allocation.streams)
-            + [result.best_value, result.fixed_point, result.evaluations]
-        ]
-    _emit(spec.out, spec.format, stamp, columns, rows)
+        row = {
+            **_k_columns(best),
+            "sum_capacity": result.best_value,
+            "fixed_point": result.fixed_point,
+            "evaluations": result.evaluations,
+        }
+        rows = [row]
+    _emit(run, stamp, rows)
     return 0
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(run: argparse.Namespace) -> int:
     """Cross-backend agreement suite; prints one PASS/FAIL line per check."""
-    trials = args.trials if args.trials is not None else 20_000
-    seed = args.seed if args.seed is not None else 0
-    workers = args.workers if args.workers is not None else 1
+    trials, seed, workers = run.trials, run.seed, run.workers
     if trials < 1_000:
         raise DomainError(f"validate needs trials >= 1000, got {trials}")
     reset_clamp_count()
@@ -701,12 +539,20 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     text = "\n".join(lines) + "\n"
     summary = f"{len(lines) - failures}/{len(lines)} checks passed\n"
-    if args.out is None:
-        sys.stdout.write(text + summary)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text + summary)
+    _write(run.out, text + summary)
     return 3 if failures else 0
+
+
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """Backend, Monte Carlo and output flags of capacity, figure and optimize."""
+    parser.add_argument(
+        "--backend", choices=_BACKENDS, help="computation backend (default analytic)"
+    )
+    parser.add_argument("--trials", type=int, help="Monte Carlo trials per estimate")
+    parser.add_argument("--seed", type=int, help="Monte Carlo seed (default 0)")
+    parser.add_argument("--workers", type=int, help="parallel workers (default 1)")
+    parser.add_argument("--out", help="output path (default stdout)")
+    parser.add_argument("--format", choices=_FORMATS, help="output format")
 
 
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
@@ -723,14 +569,7 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
         help="set beta = 2**R - 1 (and rate = R unless --rate is given)",
     )
     parser.add_argument("--rate", type=float, help="per-stream rate R (default 1)")
-    parser.add_argument(
-        "--backend", choices=_BACKENDS, help="computation backend (default analytic)"
-    )
-    parser.add_argument("--trials", type=int, help="Monte Carlo trials per estimate")
-    parser.add_argument("--seed", type=int, help="Monte Carlo seed (default 0)")
-    parser.add_argument("--workers", type=int, help="parallel workers (default 1)")
-    parser.add_argument("--out", help="output path (default stdout)")
-    parser.add_argument("--format", choices=_FORMATS, help="output format")
+    _add_run_flags(parser)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -762,12 +601,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument(
         "--beta-list", dest="beta_list", help="fig2 thresholds, e.g. 0.25,1,4"
     )
-    p_fig.add_argument("--backend", choices=_BACKENDS)
-    p_fig.add_argument("--trials", type=int)
-    p_fig.add_argument("--seed", type=int)
-    p_fig.add_argument("--workers", type=int)
-    p_fig.add_argument("--out")
-    p_fig.add_argument("--format", choices=_FORMATS)
+    _add_run_flags(p_fig)
 
     p_nstar = sub.add_parser("nstar", help="single-stream link-count thresholds")
     p_nstar.add_argument("--antennas", type=int, required=True)
@@ -793,31 +627,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit status per error class; the first match wins, so every package
+# error other than these two, a numerical failure among them, exits 3.
+_EXIT_CODES = (
+    (SearchBudgetError, 4),
+    (DomainError, 2),
+    (ZfOutageError, 3),
+    (OSError, 2),
+)
+
+_COMMANDS = {
+    "capacity": cmd_capacity,
+    "figure": cmd_figure,
+    "nstar": cmd_nstar,
+    "optimize": cmd_optimize,
+    "validate": cmd_validate,
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "capacity":
-            return cmd_capacity(_resolve_spec(args))
-        if args.command == "figure":
-            return cmd_figure(args)
-        if args.command == "nstar":
-            return cmd_nstar(args)
-        if args.command == "optimize":
-            return cmd_optimize(args)
-        return cmd_validate(args)
-    except SearchBudgetError as exc:
+        return _COMMANDS[args.command](_resolve(args))
+    except (ZfOutageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NumericalError, ZfOutageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -363,10 +363,12 @@ def _run_tasks(task_fn, args_list, workers: int):
 
 
 def _check_mc_args(trials: int, seed: int) -> None:
-    if not (isinstance(trials, int) and trials >= 1):
+    # bool is an int subclass, but True is no trial count and no seed.
+    if isinstance(trials, bool) or not (isinstance(trials, int) and trials >= 1):
         raise DomainError(f"trials must be an int >= 1, got {trials!r}")
-    if not isinstance(seed, int):
-        raise DomainError(f"seed must be an int, got {seed!r}")
+    # Philox takes a 128-bit key.
+    if isinstance(seed, bool) or not (isinstance(seed, int) and 0 <= seed < 2**128):
+        raise DomainError(f"seed must be an int in [0, 2**128), got {seed!r}")
 
 
 def _resample_budget(trials: int) -> int:
@@ -400,6 +402,38 @@ def _link_blocks(
     return results, resampled
 
 
+def _direct_blocks(
+    num_antennas: int,
+    k_self: int,
+    others: tuple[int, ...],
+    trials: int,
+    seed: int,
+    workers: int,
+):
+    _check_mc_args(trials, seed)
+    args = [
+        (num_antennas, k_self, others, seed, block, size)
+        for block, size in enumerate(_block_sizes(trials))
+    ]
+    return _run_tasks(_direct_block_task, args, workers)
+
+
+def _estimate(
+    results, k_self: int, beta: float, trials: int, resampled: int
+) -> MonteCarloEstimate:
+    """Success estimate over block results (signal, interference, ...)."""
+    hits = 0
+    for signal, interference, *_ in results:
+        hits += int(np.count_nonzero(signal / k_self >= beta * interference))
+    p = hits / trials
+    return MonteCarloEstimate(
+        prob=p,
+        std_error=math.sqrt(p * (1.0 - p) / trials),
+        trials=trials,
+        resampled=resampled,
+    )
+
+
 def empirical_link_success(
     config: SystemConfig,
     alloc: StreamAllocation,
@@ -411,17 +445,8 @@ def empirical_link_success(
 ) -> MonteCarloEstimate:
     """Estimate P(SIR_1 >= beta) for one link from full-channel trials."""
     results, resampled = _link_blocks(config, alloc, link, trials, seed, workers)
-    k_self = alloc.streams[link]
-    beta = config.sir_threshold
-    hits = 0
-    for signal, interference, _, _ in results:
-        hits += int(np.count_nonzero(signal / k_self >= beta * interference))
-    p = hits / trials
-    return MonteCarloEstimate(
-        prob=p,
-        std_error=math.sqrt(p * (1.0 - p) / trials),
-        trials=trials,
-        resampled=resampled,
+    return _estimate(
+        results, alloc.streams[link], config.sir_threshold, trials, resampled
     )
 
 
@@ -449,23 +474,7 @@ def link_success_sweep(
             raise DomainError(f"thresholds must be finite and > 0, got {b!r}")
     results, resampled = _link_blocks(config, alloc, link, trials, seed, workers)
     k_self = alloc.streams[link]
-    hits = [0] * len(betas)
-    for signal, interference, _, _ in results:
-        scaled = signal / k_self
-        for i, b in enumerate(betas):
-            hits[i] += int(np.count_nonzero(scaled >= b * interference))
-    out = []
-    for h in hits:
-        p = h / trials
-        out.append(
-            MonteCarloEstimate(
-                prob=p,
-                std_error=math.sqrt(p * (1.0 - p) / trials),
-                trials=trials,
-                resampled=resampled,
-            )
-        )
-    return out
+    return [_estimate(results, k_self, b, trials, resampled) for b in betas]
 
 
 def link_sir_samples(
@@ -540,12 +549,7 @@ def direct_sir_samples(
 ) -> np.ndarray:
     """SIR samples from the marginal model (no matrices involved)."""
     others = _check_direct_args(num_antennas, k_self, k_others)
-    _check_mc_args(trials, seed)
-    args = [
-        (num_antennas, k_self, others, seed, block, size)
-        for block, size in enumerate(_block_sizes(trials))
-    ]
-    results = _run_tasks(_direct_block_task, args, workers)
+    results = _direct_blocks(num_antennas, k_self, others, trials, seed, workers)
     return np.concatenate(
         [(signal / k_self) / interference for signal, interference in results]
     )
@@ -565,22 +569,8 @@ def direct_distribution_outage(
     others = _check_direct_args(num_antennas, k_self, k_others)
     if not (math.isfinite(beta) and beta > 0.0):
         raise DomainError(f"beta must be finite and > 0, got {beta!r}")
-    _check_mc_args(trials, seed)
-    args = [
-        (num_antennas, k_self, others, seed, block, size)
-        for block, size in enumerate(_block_sizes(trials))
-    ]
-    results = _run_tasks(_direct_block_task, args, workers)
-    hits = 0
-    for signal, interference in results:
-        hits += int(np.count_nonzero(signal / k_self >= beta * interference))
-    p = hits / trials
-    return MonteCarloEstimate(
-        prob=p,
-        std_error=math.sqrt(p * (1.0 - p) / trials),
-        trials=trials,
-        resampled=0,
-    )
+    results = _direct_blocks(num_antennas, k_self, others, trials, seed, workers)
+    return _estimate(results, k_self, beta, trials, 0)
 
 
 def _check_direct_args(

@@ -68,6 +68,34 @@ def equal_k_success_quad(
     return value
 
 
+def shifted_equal_k_series(
+    m: int, n: int, k_self: int, k_other: int, beta: float
+) -> float:
+    """The equal-k success series under the "shifted" indexing.
+
+    Sums r = 1..M-k_self+1 with denominator exponent r+lam-1 instead of
+    r = 0..M-k_self with exponent r+lam.  It is not the integral of the
+    model; the tests keep it to show that it fails against quadrature.
+    Every term is positive; sums above 1 are reported as 1, as a
+    probability would be.
+    """
+    lam = float((n - 1) * k_other)
+    d = beta * k_self / k_other
+    log_d = math.log(d)
+    log_1pd = math.log1p(d)
+    terms = []
+    for r in range(1, m - k_self + 2):
+        log_term = (
+            r * log_d
+            - (r + lam - 1.0) * log_1pd
+            + mp_log_gamma(r + lam)
+            - mp_log_gamma(r + 1.0)
+            - mp_log_gamma(lam)
+        )
+        terms.append(math.exp(log_term))
+    return min(1.0, math.fsum(terms))
+
+
 def weighted_exp_moments(weights) -> tuple[float, float]:
     """Exact mean and variance of sum a_i z_i, z_i ~ Exp(1)."""
     ws = [float(w) for w in weights]

@@ -12,7 +12,7 @@ import pytest
 from scipy import stats
 
 from conftest import criterion
-from oracles import equal_k_success_quad
+from oracles import equal_k_success_quad, shifted_equal_k_series
 from zfoutage.analytic import (
     min_links_single_stream,
     success_prob_equal_k,
@@ -65,7 +65,7 @@ def test_criterion_2_quadrature_oracle():
             for beta in BETAS:
                 reference = equal_k_success_quad(m, n, ks, ko, beta)
                 default = success_prob_equal_k(m, n, ks, ko, beta)
-                shifted = success_prob_equal_k(m, n, ks, ko, beta, series="shifted")
+                shifted = shifted_equal_k_series(m, n, ks, ko, beta)
                 rel = abs(default - reference) / reference
                 worst_default = max(worst_default, rel)
                 worst_shifted = max(worst_shifted, abs(shifted - reference) / reference)

@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import equal_k_success_quad, sample_weighted_exp, weighted_exp_moments
+from oracles import (
+    equal_k_success_quad,
+    sample_weighted_exp,
+    shifted_equal_k_series,
+    weighted_exp_moments,
+)
 from zfoutage.analytic import (
     NStarResult,
     gamma_approx_params,
@@ -75,7 +80,7 @@ class TestEqualKSuccess:
         # default form stays on it.
         reference = equal_k_success_quad(4, 8, 2, 1, 1.0)
         corrected = success_prob_equal_k(4, 8, 2, 1, 1.0)
-        shifted = success_prob_equal_k(4, 8, 2, 1, 1.0, series="shifted")
+        shifted = shifted_equal_k_series(4, 8, 2, 1, 1.0)
         np.testing.assert_allclose(corrected, reference, rtol=1e-8)
         assert abs(shifted - reference) / reference > 1.0
 
@@ -112,8 +117,6 @@ class TestEqualKSuccess:
             success_prob_equal_k(2, 2, 1, 0, 1.0)
         with pytest.raises(DomainError):
             success_prob_equal_k(2, 2, 1, 1, 0.0)
-        with pytest.raises(DomainError):
-            success_prob_equal_k(2, 2, 1, 1, 1.0, series="bogus")
 
 
 class TestGammaApprox:

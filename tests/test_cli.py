@@ -369,6 +369,24 @@ class TestExitCodes:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)])
+    def test_out_of_range_seed(self, seed):
+        # A seed the generator cannot key is an invalid argument, reported
+        # before any simulation, not a traceback.
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "zfoutage",
+                "capacity", "--links", "2", "--antennas", "1", "--backend", "mc",
+                "--trials", "100000", "--seed", seed,
+            ],
+            capture_output=True,
+            text=True,
+            env=checkout_env(),
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("error:")
+        assert "Traceback" not in result.stderr
+
     def test_numerical_failure_maps_to_three(self, capsys, monkeypatch):
         def explode(config, alloc):
             raise NumericalError("synthetic failure")
@@ -379,6 +397,92 @@ class TestExitCodes:
         )
         assert code == 3
         assert "synthetic failure" in err
+
+
+SCENARIO_STAMP = ["cmd", "links", "antennas", "beta", "rate", "backend"]
+FIGURE_STAMP = ["cmd", "which", "antennas", "rate", "backend"]
+
+# argv, stamp keys before and after trials/seed, columns per backend.
+HEADER_CASES = {
+    "capacity": (
+        ("capacity", "--links", "2", "--antennas", "2"),
+        SCENARIO_STAMP,
+        ["alloc"],
+        {
+            "analytic": ["link", "streams", "success_prob", "capacity", "sum_capacity"],
+            "mc": [
+                "link", "streams", "success_prob", "std_error", "capacity",
+                "sum_capacity",
+            ],
+            "both": [
+                "link", "streams", "success_prob_analytic", "capacity_analytic",
+                "success_prob_mc", "std_error_mc", "capacity_mc", "abs_diff",
+            ],
+        },
+    ),
+    "capacity_sweep": (
+        ("capacity", "--links", "2", "--antennas", "2", "--alloc-sweep"),
+        SCENARIO_STAMP,
+        ["alloc"],
+        {
+            "analytic": ["k1", "k2", "sum_capacity_analytic"],
+            "mc": ["k1", "k2", "sum_capacity_mc"],
+            "both": [
+                "k1", "k2", "sum_capacity_analytic", "sum_capacity_mc", "abs_diff",
+            ],
+        },
+    ),
+    "fig1": (
+        ("figure", "fig1", "--antennas", "2", "--n-list", "2"),
+        FIGURE_STAMP,
+        ["beta", "n_list"],
+        {
+            "analytic": ["links", "k1", "success_prob", "capacity"],
+            "mc": ["links", "k1", "success_prob_mc", "std_error_mc", "capacity_mc"],
+            "both": [
+                "links", "k1", "success_prob", "capacity",
+                "success_prob_mc", "std_error_mc", "capacity_mc",
+            ],
+        },
+    ),
+    "fig2": (
+        ("figure", "fig2", "--antennas", "2", "--links", "2", "--beta-list", "1"),
+        FIGURE_STAMP,
+        ["links", "beta_list"],
+        {
+            "analytic": ["beta", "k1", "success_prob", "capacity"],
+            "mc": ["beta", "k1", "success_prob_mc", "std_error_mc", "capacity_mc"],
+            "both": [
+                "beta", "k1", "success_prob", "capacity",
+                "success_prob_mc", "std_error_mc", "capacity_mc",
+            ],
+        },
+    ),
+    "fig3": (
+        ("figure", "fig3", "--antennas", "2", "--links", "2"),
+        FIGURE_STAMP,
+        ["links", "beta"],
+        {
+            "analytic": ["k1", "k2", "sum_capacity"],
+            "mc": ["k1", "k2", "sum_capacity_mc"],
+            "both": ["k1", "k2", "sum_capacity", "sum_capacity_mc"],
+        },
+    ),
+}
+
+
+class TestOutputHeaders:
+    @pytest.mark.parametrize("backend", ["analytic", "mc", "both"])
+    @pytest.mark.parametrize("case", sorted(HEADER_CASES))
+    def test_stamp_keys_and_columns(self, capsys, case, backend):
+        argv, head, tail, columns = HEADER_CASES[case]
+        code, out, _ = run_cli(capsys, *argv, "--backend", backend, "--trials", "1000")
+        assert code == 0
+        stamp, got_columns, rows = parse_csv(out)
+        simulated = ["trials", "seed"] if backend != "analytic" else []
+        assert list(stamp) == head + simulated + tail
+        assert got_columns == columns[backend]
+        assert all(len(row) == len(got_columns) for row in rows)
 
 
 class TestJsonFormat:

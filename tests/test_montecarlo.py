@@ -345,3 +345,35 @@ class TestOutageEstimates:
         ):
             assert c == cfg.rate * k * p
         assert report.sum_capacity == math.fsum(report.per_link_capacity)
+
+
+# One caller per sampler and public entry point, each taking (trials, seed).
+_SAMPLERS = {
+    "full_channel": lambda trials, seed: empirical_link_success(
+        SystemConfig(2, 2, 1.0), StreamAllocation((1, 1)), 0, trials, seed
+    ),
+    "full_channel_samples": lambda trials, seed: link_sir_samples(
+        SystemConfig(2, 2, 1.0), StreamAllocation((1, 1)), 0, trials, seed
+    ),
+    "direct": lambda trials, seed: direct_distribution_outage(
+        2, 1, [1], 1.0, trials, seed
+    ),
+    "direct_samples": lambda trials, seed: direct_sir_samples(2, 1, [1], trials, seed),
+}
+
+
+class TestTrialAndSeedArguments:
+    @pytest.mark.parametrize("sampler", sorted(_SAMPLERS))
+    @pytest.mark.parametrize(
+        "trials, seed",
+        [(100, -1), (100, 2**128), (True, 0), (100, True)],
+        ids=["seed_negative", "seed_2_128", "trials_true", "seed_true"],
+    )
+    def test_rejected_before_sampling(self, sampler, trials, seed):
+        with pytest.raises(DomainError):
+            _SAMPLERS[sampler](trials, seed)
+
+    @pytest.mark.parametrize("sampler", sorted(_SAMPLERS))
+    def test_seed_range_ends_accepted(self, sampler):
+        for seed in (0, 2**128 - 1):
+            _SAMPLERS[sampler](100, seed)
