@@ -22,15 +22,12 @@ from .core import (
     GammaParams,
     NumericalError,
     OutageReport,
-    RankDeficiencyError,
     SearchBudgetError,
     StreamAllocation,
     SystemConfig,
     ZfOutageError,
     clamp_count,
     clamp_probability,
-    gamma_ccdf,
-    log_gamma,
     reset_clamp_count,
 )
 from .analytic import (
@@ -44,10 +41,7 @@ from .analytic import (
     sum_capacity_analytic,
 )
 from .montecarlo import (
-    ChannelSet,
     MonteCarloEstimate,
-    SirSample,
-    ZfVector,
     direct_distribution_outage,
     direct_sir_samples,
     empirical_link_success,
@@ -55,9 +49,6 @@ from .montecarlo import (
     link_power_samples,
     link_sir_samples,
     link_success_sweep,
-    sample_channel,
-    stream_sir,
-    zf_nulling_vector,
 )
 from .optimizer import (
     SearchResult,
@@ -71,22 +62,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CLAMP_TOL",
-    "ChannelSet",
     "DomainError",
     "GammaParams",
     "MonteCarloEstimate",
     "NStarResult",
     "NumericalError",
     "OutageReport",
-    "RankDeficiencyError",
     "SearchBudgetError",
     "SearchResult",
-    "SirSample",
     "StreamAllocation",
     "SystemConfig",
     "ThresholdResult",
     "ZfOutageError",
-    "ZfVector",
     "best_response",
     "clamp_count",
     "clamp_probability",
@@ -96,20 +83,15 @@ __all__ = [
     "empirical_outage",
     "empirical_threshold",
     "gamma_approx_params",
-    "gamma_ccdf",
     "link_capacity_equal_k",
     "link_power_samples",
     "link_sir_samples",
     "link_success_prob",
     "link_success_sweep",
-    "log_gamma",
     "maximize_sum_capacity",
     "min_links_single_stream",
     "reset_clamp_count",
-    "sample_channel",
-    "stream_sir",
     "success_prob_equal_k",
     "success_prob_general",
     "sum_capacity_analytic",
-    "zf_nulling_vector",
 ]

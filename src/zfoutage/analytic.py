@@ -41,7 +41,6 @@ from .core import (
     StreamAllocation,
     SystemConfig,
     clamp_probability,
-    log_gamma,
 )
 
 __all__ = [
@@ -60,19 +59,19 @@ def _series_sum(num_extra: int, d: float, lam: float) -> float:
     """Log-domain evaluation of the success series.
 
     num_extra is M - k_self, the number of terms beyond r = 0.  Terms
-    are evaluated through log_gamma so that lam of order 10^3 neither
+    are evaluated through math.lgamma so that lam of order 10^3 neither
     overflows nor loses the factorial ratios.
     """
     log_d = math.log(d)
     log_1pd = math.log1p(d)
-    lg_lam = log_gamma(lam)
+    lg_lam = math.lgamma(lam)
     terms = []
     for r in range(0, num_extra + 1):
         log_term = (
             r * log_d
             - (r + lam) * log_1pd
-            + log_gamma(r + lam)
-            - log_gamma(r + 1.0)
+            + math.lgamma(r + lam)
+            - math.lgamma(r + 1.0)
             - lg_lam
         )
         terms.append(math.exp(log_term))
@@ -193,9 +192,9 @@ def success_prob_general(
 class NStarResult:
     """Smallest link count past which single-stream transmission dominates.
 
-    binding_p is the per-link stream count whose inequality was the last
-    to be satisfied during the scan, i.e. the constraint that sets the
-    threshold.
+    binding_p is the per-link stream count whose inequality sets the
+    threshold: of the counts first satisfied at n_star, the one with the
+    smallest margin there (the smallest such p on a tie).
     """
 
     n_star: int
@@ -216,10 +215,15 @@ def min_links_single_stream(
         ((k + beta*(p+1)) / (k + beta*p))^{(N-1)k - 1}
             * (beta / (k + beta))^{M - p + 1}  >=  (p+1)/p
 
-    with k = k_other.  The left side grows geometrically in N, so a
-    linear scan upward from N = 2 terminates; each p is dropped from the
-    pending set once its inequality holds, which keeps the scan O(N*+M).
-    Raises SearchBudgetError if the scan passes ``cap`` links.
+    with k = k_other.  In logs it reads ((N-1)k - 1) * slope_p + offset_p
+    >= 0 with slope_p > 0, so it holds from
+
+        N_p = max(2, ceil(1 + (1 - offset_p/slope_p) / k))
+
+    on.  Rounding can put that estimate one off, so N_p is then moved a
+    step at a time until the predicate itself holds at N_p and fails at
+    N_p - 1 (or N_p = 2).  The threshold is N* = max_p N_p.  Raises
+    SearchBudgetError when N* exceeds ``cap``.
     """
     if not (isinstance(num_antennas, int) and num_antennas >= 1):
         raise DomainError(f"num_antennas must be an int >= 1, got {num_antennas!r}")
@@ -228,8 +232,6 @@ def min_links_single_stream(
     _check_stream_count("k_other", k_other, num_antennas)
 
     k = float(k_other)
-    # Per-p constants of the log inequality
-    #   ((N-1)k - 1) * slope_p + offset_p >= 0.
     slopes = []
     offsets = []
     for p in range(1, num_antennas + 1):
@@ -240,33 +242,36 @@ def min_links_single_stream(
         slopes.append(slope)
         offsets.append(offset)
 
-    pending = list(range(num_antennas))
-    satisfied_at = [0] * num_antennas
-    n = 2
-    while pending:
-        if n > cap:
-            raise SearchBudgetError(
-                f"no threshold found up to N = {cap} "
-                f"(M={num_antennas}, beta={beta}, k_other={k_other})"
-            )
-        exponent = (n - 1) * k - 1.0
-        still = []
-        for idx in pending:
-            if exponent * slopes[idx] + offsets[idx] >= 0.0:
-                satisfied_at[idx] = n
-            else:
-                still.append(idx)
-        pending = still
-        if pending:
-            n += 1
+    def margin(idx: int, n: int) -> float:
+        return ((n - 1) * k - 1.0) * slopes[idx] + offsets[idx]
 
-    n_star = n
-    # Among constraints satisfied only at the final N, report the one with
-    # the smallest margin: the inequality that actually pins the threshold.
-    exponent = (n_star - 1) * k - 1.0
-    binding = max(
-        (idx for idx in range(num_antennas) if satisfied_at[idx] == n_star),
-        key=lambda idx: -(exponent * slopes[idx] + offsets[idx]),
+    firsts = []  # N_p for p = idx + 1
+    for idx in range(num_antennas):
+        # slope_p is 0 when beta vanishes against k in floating point; the
+        # left side then never grows and no N satisfies the condition.
+        if slopes[idx] > 0.0:
+            estimate = 1.0 + (1.0 - offsets[idx] / slopes[idx]) / k
+        else:
+            estimate = math.inf
+        if not estimate <= cap + 2:
+            firsts.append(cap + 1)  # past the budget: no need to pin it down
+            continue
+        n = max(2, math.ceil(estimate))
+        while n > 2 and margin(idx, n - 1) >= 0.0:
+            n -= 1
+        while margin(idx, n) < 0.0:
+            n += 1
+        firsts.append(n)
+
+    n_star = max(firsts)
+    if n_star > cap:
+        raise SearchBudgetError(
+            f"no threshold found up to N = {cap} "
+            f"(M={num_antennas}, beta={beta}, k_other={k_other})"
+        )
+    binding = min(
+        (idx for idx in range(num_antennas) if firsts[idx] == n_star),
+        key=lambda idx: margin(idx, n_star),
     )
     return NStarResult(n_star=n_star, binding_p=binding + 1)
 

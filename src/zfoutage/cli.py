@@ -77,6 +77,14 @@ _LISTS = {
     "beta_list": (float, "expected comma-separated values"),
 }
 
+# Figure flags, and the figures that read them.
+_FIGURE_FLAGS = {
+    "links": ("fig2", "fig3"),
+    "beta": ("fig1", "fig3"),
+    "n_list": ("fig1",),
+    "beta_list": ("fig2",),
+}
+
 # Column suffixes (analytic, Monte Carlo) of the two backends' cells.
 _PLAIN = ("", "")
 _SUFFIXED = ("_analytic", "_mc")
@@ -169,6 +177,11 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     merged.update(file_vals)
 
     flags = {key: value for key, value in vars(args).items() if value is not None}
+    if args.command == "figure":
+        for key, figures in _FIGURE_FLAGS.items():
+            if key in flags and args.which not in figures:
+                flag = "--" + key.replace("_", "-")
+                raise DomainError(f"{flag} does not apply to {args.which}")
     for key in _LISTS:
         if key not in flags:
             continue
@@ -186,7 +199,12 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     if rate_to_beta is not None:
         if not rate_to_beta > 0.0:
             raise DomainError(f"rate_to_beta must be > 0, got {rate_to_beta!r}")
-        merged["beta"] = 2.0**rate_to_beta - 1.0
+        try:
+            merged["beta"] = 2.0**rate_to_beta - 1.0
+        except OverflowError:
+            raise DomainError(
+                f"rate_to_beta {rate_to_beta!r} is too large: 2**R overflows"
+            ) from None
         if "rate" not in file_vals and "rate" not in flags:
             merged["rate"] = rate_to_beta
 
@@ -194,6 +212,8 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
         for key in ("links", "antennas"):
             if merged.get(key) is None:
                 raise DomainError(f"{key} is required (flag --{key} or config file)")
+    if merged["workers"] < 1:
+        raise DomainError(f"workers must be >= 1, got {merged['workers']}")
     if merged["alloc"] is not None and merged["alloc_sweep"]:
         raise DomainError("alloc and alloc_sweep are mutually exclusive")
     if merged["backend"] != "analytic":

@@ -1,4 +1,4 @@
-"""Empirical engine: channel sampling, ZF nulling, SIR statistics.
+"""Empirical engine: batched channel sampling, ZF nulling, SIR statistics.
 
 Two independent samplers are provided on purpose.  The full-channel path
 draws every matrix entry, builds the nulling vector by linear algebra,
@@ -26,30 +26,27 @@ same joint distribution as materializing the whole N x N grid per trial.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+# numpy loads numpy.random on first use.  Loading it here, at import,
+# lets forked pool workers inherit it instead of each loading it again.
+import numpy.random
 
 from .core import (
     DomainError,
     NumericalError,
     OutageReport,
-    RankDeficiencyError,
     StreamAllocation,
     SystemConfig,
 )
 
 __all__ = [
     "BLOCK_TRIALS",
-    "ChannelSet",
-    "ZfVector",
-    "SirSample",
     "MonteCarloEstimate",
-    "sample_channel",
-    "zf_nulling_vector",
-    "stream_sir",
     "empirical_link_success",
     "link_success_sweep",
     "link_sir_samples",
@@ -61,8 +58,8 @@ __all__ = [
 
 BLOCK_TRIALS = 8192
 
-# Relative singular-value (or QR-diagonal) floor below which a draw is
-# treated as degenerate and resampled.
+# Relative QR-diagonal floor below which a draw is treated as degenerate
+# and resampled.
 _RANK_TOL = 1e-10
 
 _PURPOSE_LINK = 1
@@ -82,83 +79,6 @@ def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndar
     return z.view(np.complex128)[..., 0] * _SQRT_HALF
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelSet:
-    """One realization of the full N x N grid of channel matrices.
-
-    matrices[m][n] is the M x k_m matrix from transmitter m to receiver
-    n; column l carries stream l of link m.
-    """
-
-    matrices: tuple[tuple[np.ndarray, ...], ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.matrices)
-        if n < 2 or any(len(row) != n for row in self.matrices):
-            raise DomainError("matrices must form an N x N grid with N >= 2")
-        rows = self.matrices[0][0].shape[0]
-        for m, row in enumerate(self.matrices):
-            cols = row[0].shape[1]
-            for h in row:
-                if h.ndim != 2 or h.shape != (rows, cols):
-                    raise DomainError(
-                        f"transmitter {m}: expected shape {(rows, cols)}, "
-                        f"got {h.shape}"
-                    )
-                if not np.all(np.isfinite(h.view(np.float64))):
-                    raise DomainError("channel entries must be finite")
-
-    @property
-    def num_links(self) -> int:
-        return len(self.matrices)
-
-    @property
-    def num_antennas(self) -> int:
-        return self.matrices[0][0].shape[0]
-
-    @property
-    def streams(self) -> tuple[int, ...]:
-        return tuple(row[0].shape[1] for row in self.matrices)
-
-    def scaled(self, factor: complex) -> "ChannelSet":
-        """Same realization with every matrix multiplied by one scalar."""
-        return ChannelSet(
-            tuple(tuple(factor * h for h in row) for row in self.matrices)
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class ZfVector:
-    """Unit-norm row vector applied to the received signal (q in q H)."""
-
-    vector: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.vector, dtype=np.complex128)
-        object.__setattr__(self, "vector", v)
-        if v.ndim != 1:
-            raise DomainError(f"nulling vector must be 1-D, got shape {v.shape}")
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > 1e-12:
-            raise DomainError(f"nulling vector norm {norm!r} is not 1 to 1e-12")
-
-
-@dataclass(frozen=True)
-class SirSample:
-    """Signal power, aggregate interference power, and their SIR ratio."""
-
-    signal_power: float
-    interference_power: float
-    k_self: int
-    sir: float
-
-    def __post_init__(self) -> None:
-        if self.signal_power < 0.0 or self.interference_power <= 0.0:
-            raise DomainError("powers must be non-negative / positive")
-        if self.sir != (self.signal_power / self.k_self) / self.interference_power:
-            raise DomainError("sir field disagrees with its defining ratio")
-
-
 @dataclass(frozen=True)
 class MonteCarloEstimate:
     """Success-probability estimate with its binomial standard error."""
@@ -173,93 +93,6 @@ class MonteCarloEstimate:
             raise DomainError(f"estimate {self.prob!r} outside [0, 1]")
         if self.trials < 1:
             raise DomainError("trials must be >= 1")
-
-
-def sample_channel(
-    config: SystemConfig, alloc: StreamAllocation, rng: np.random.Generator
-) -> ChannelSet:
-    """Draw one full channel grid from an externally managed stream."""
-    alloc.validate_against(config)
-    n, m = config.num_links, config.num_antennas
-    grid = []
-    for tx in range(n):
-        block = _complex_normal(rng, (n, m, alloc.streams[tx]))
-        grid.append(tuple(block[rx] for rx in range(n)))
-    return ChannelSet(tuple(grid))
-
-
-def zf_nulling_vector(h_self: np.ndarray, j: int) -> ZfVector:
-    """Receiver direction for stream j of one link's own M x k matrix.
-
-    For k = 1 there is nothing to null and the matched direction is
-    returned.  Otherwise the vector is the normalized residual of column
-    j against the orthogonal complement of the other columns, which is
-    the admissible direction maximizing |q H(j)|.  Raises
-    RankDeficiencyError when the excluded columns are numerically
-    rank-deficient or column j lies in their span.
-    """
-    h = np.asarray(h_self, dtype=np.complex128)
-    if h.ndim != 2:
-        raise DomainError(f"h_self must be a matrix, got shape {h.shape}")
-    m, k = h.shape
-    if k > m:
-        raise DomainError(f"streams {k} exceed antennas {m}")
-    if not 0 <= j < k:
-        raise DomainError(f"stream index {j} out of range for k={k}")
-    target = h[:, j]
-    if k == 1:
-        norm = float(np.linalg.norm(target))
-        if norm == 0.0:
-            raise RankDeficiencyError("zero column cannot be matched")
-        return ZfVector(target.conj() / norm)
-
-    excluded = np.delete(h, j, axis=1)
-    u, svals, _ = np.linalg.svd(excluded, full_matrices=False)
-    if svals[0] == 0.0 or svals[-1] / svals[0] < _RANK_TOL:
-        raise RankDeficiencyError(
-            f"excluded columns rank-deficient (sigma ratio "
-            f"{0.0 if svals[0] == 0.0 else svals[-1] / svals[0]:.3e})"
-        )
-    residual = target - u @ (u.conj().T @ target)
-    norm = float(np.linalg.norm(residual))
-    if norm / float(np.linalg.norm(target)) < _RANK_TOL:
-        raise RankDeficiencyError("stream column lies in the excluded span")
-    q = residual.conj() / norm
-    leak = float(np.max(np.abs(q @ excluded)))
-    if leak > 1e-10:
-        raise NumericalError(f"nulling residual leaks {leak:.3e} into excluded columns")
-    return ZfVector(q)
-
-
-def stream_sir(channels: ChannelSet, link: int, stream: int) -> SirSample:
-    """SIR of one stream of one link on a given realization.
-
-    This is the readable reference path (one trial, explicit nulling
-    vector); the batched estimators reproduce it in vectorized form.
-    """
-    n = channels.num_links
-    if not 0 <= link < n:
-        raise DomainError(f"link {link} out of range for {n} links")
-    streams = channels.streams
-    k_self = streams[link]
-    if not 0 <= stream < k_self:
-        raise DomainError(f"stream {stream} out of range for k={k_self}")
-    h_self = channels.matrices[link][link]
-    q = zf_nulling_vector(h_self, stream).vector
-    signal = float(abs(q @ h_self[:, stream]) ** 2)
-    pieces = []
-    for m in range(n):
-        if m == link:
-            continue
-        z = q @ channels.matrices[m][link]
-        pieces.append(np.sum(z.real * z.real + z.imag * z.imag) / streams[m])
-    interference = float(math.fsum(pieces))
-    return SirSample(
-        signal_power=signal,
-        interference_power=interference,
-        k_self=k_self,
-        sir=(signal / k_self) / interference,
-    )
 
 
 def _link_block(
@@ -356,19 +189,23 @@ def _block_sizes(trials: int) -> list[int]:
 
 
 def _run_tasks(task_fn, args_list, workers: int):
-    if workers <= 1 or len(args_list) <= 1:
+    # More processes than blocks or CPUs only add start-up cost.
+    pool_size = min(workers, len(args_list), os.cpu_count() or 1)
+    if pool_size <= 1:
         return [task_fn(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=pool_size) as pool:
         return list(pool.map(task_fn, args_list, chunksize=4))
 
 
-def _check_mc_args(trials: int, seed: int) -> None:
-    # bool is an int subclass, but True is no trial count and no seed.
+def _check_mc_args(trials: int, seed: int, workers: int) -> None:
+    # bool is an int subclass, but True is no trial count, seed or worker count.
     if isinstance(trials, bool) or not (isinstance(trials, int) and trials >= 1):
         raise DomainError(f"trials must be an int >= 1, got {trials!r}")
     # Philox takes a 128-bit key.
     if isinstance(seed, bool) or not (isinstance(seed, int) and 0 <= seed < 2**128):
         raise DomainError(f"seed must be an int in [0, 2**128), got {seed!r}")
+    if isinstance(workers, bool) or not (isinstance(workers, int) and workers >= 1):
+        raise DomainError(f"workers must be an int >= 1, got {workers!r}")
 
 
 def _resample_budget(trials: int) -> int:
@@ -387,7 +224,7 @@ def _link_blocks(
     alloc.validate_against(config)
     if not 0 <= link < config.num_links:
         raise DomainError(f"link {link} out of range")
-    _check_mc_args(trials, seed)
+    _check_mc_args(trials, seed, workers)
     args = [
         (config, alloc, link, seed, block, size, keep_summands)
         for block, size in enumerate(_block_sizes(trials))
@@ -410,7 +247,7 @@ def _direct_blocks(
     seed: int,
     workers: int,
 ):
-    _check_mc_args(trials, seed)
+    _check_mc_args(trials, seed, workers)
     args = [
         (num_antennas, k_self, others, seed, block, size)
         for block, size in enumerate(_block_sizes(trials))

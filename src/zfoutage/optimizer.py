@@ -235,7 +235,6 @@ def empirical_threshold(
     beta: float,
     k_other: int = 1,
     *,
-    objective: str = "analytic",
     window: int = 5,
     cap: int = 10_000,
 ) -> ThresholdResult:
@@ -255,8 +254,6 @@ def empirical_threshold(
         raise DomainError(
             f"k_other must be an int in [1, {num_antennas}], got {k_other!r}"
         )
-    if objective != "analytic":
-        raise DomainError("the threshold scan supports only the analytic objective")
     if window < 0:
         raise DomainError(f"window must be >= 0, got {window!r}")
 

@@ -2,21 +2,36 @@
 
 Everything here deliberately avoids the package's own evaluation paths:
 log-gamma comes from arbitrary-precision arithmetic, tail probabilities
-from direct series summation, and success probabilities from adaptive
-quadrature over the interference density.  Expected values in the test
-suite are either hand-derivable constants or outputs of these oracles;
-none are copied from the implementation under test.
+from scipy's regularized incomplete gamma or direct series summation,
+success probabilities from adaptive quadrature over the interference
+density, and the SIR of one trial from an explicit per-trial
+zero-forcing vector (SVD of the excluded columns) instead of the batched
+QR kernel.  Expected values in the test suite are either hand-derivable
+constants or outputs of these oracles; none are copied from the
+implementation under test.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
+import scipy.special
 from scipy.integrate import quad
 
-from zfoutage.core import gamma_ccdf
+from zfoutage.core import (
+    DomainError,
+    NumericalError,
+    StreamAllocation,
+    SystemConfig,
+    ZfOutageError,
+)
+
+# Relative singular-value floor below which the excluded columns (or
+# the residual of the stream column) count as degenerate.
+_RANK_TOL = 1e-10
 
 
 def mp_log_gamma(x: float) -> float:
@@ -36,6 +51,22 @@ def poisson_tail(shape: int, y: float) -> float:
         term *= y / r
         total.append(term)
     return math.fsum(total)
+
+
+def gamma_ccdf(shape: float, rate: float, x: float) -> float:
+    """P(X >= x) for X ~ Gamma(shape, rate), evaluated without overflow.
+
+    ``gamma_ccdf(a, r, 0)`` is exactly 1, the value is nonincreasing in x,
+    and for integer shapes it matches the Poisson tail identity
+    P(X >= x) = P(Poisson(rate * x) <= shape - 1).
+    """
+    if not shape > 0.0:
+        raise DomainError(f"gamma_ccdf requires shape > 0, got {shape!r}")
+    if not rate > 0.0:
+        raise DomainError(f"gamma_ccdf requires rate > 0, got {rate!r}")
+    if x < 0.0:
+        raise DomainError(f"gamma_ccdf requires x >= 0, got {x!r}")
+    return float(scipy.special.gammaincc(shape, rate * x))
 
 
 def gamma_ccdf_quad(shape: float, rate: float, x: float) -> float:
@@ -109,3 +140,173 @@ def sample_weighted_exp(weights, trials: int, seed: int) -> np.ndarray:
     for w in weights:
         total += w * rng.exponential(size=trials)
     return total
+
+
+class RankDeficiencyError(ZfOutageError, ValueError):
+    """A channel matrix is too close to singular for zero-forcing."""
+
+
+@dataclass(frozen=True, eq=False)
+class ChannelSet:
+    """One realization of the full N x N grid of channel matrices.
+
+    matrices[m][n] is the M x k_m matrix from transmitter m to receiver
+    n; column l carries stream l of link m.
+    """
+
+    matrices: tuple[tuple[np.ndarray, ...], ...]
+
+    def __post_init__(self) -> None:
+        n = len(self.matrices)
+        if n < 2 or any(len(row) != n for row in self.matrices):
+            raise DomainError("matrices must form an N x N grid with N >= 2")
+        rows = self.matrices[0][0].shape[0]
+        for m, row in enumerate(self.matrices):
+            cols = row[0].shape[1]
+            for h in row:
+                if h.ndim != 2 or h.shape != (rows, cols):
+                    raise DomainError(
+                        f"transmitter {m}: expected shape {(rows, cols)}, "
+                        f"got {h.shape}"
+                    )
+                if not np.all(np.isfinite(h.view(np.float64))):
+                    raise DomainError("channel entries must be finite")
+
+    @property
+    def num_links(self) -> int:
+        return len(self.matrices)
+
+    @property
+    def num_antennas(self) -> int:
+        return self.matrices[0][0].shape[0]
+
+    @property
+    def streams(self) -> tuple[int, ...]:
+        return tuple(row[0].shape[1] for row in self.matrices)
+
+    def scaled(self, factor: complex) -> "ChannelSet":
+        """Same realization with every matrix multiplied by one scalar."""
+        return ChannelSet(
+            tuple(tuple(factor * h for h in row) for row in self.matrices)
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class ZfVector:
+    """Unit-norm row vector applied to the received signal (q in q H)."""
+
+    vector: np.ndarray
+
+    def __post_init__(self) -> None:
+        v = np.asarray(self.vector, dtype=np.complex128)
+        object.__setattr__(self, "vector", v)
+        if v.ndim != 1:
+            raise DomainError(f"nulling vector must be 1-D, got shape {v.shape}")
+        norm = float(np.linalg.norm(v))
+        if abs(norm - 1.0) > 1e-12:
+            raise DomainError(f"nulling vector norm {norm!r} is not 1 to 1e-12")
+
+
+@dataclass(frozen=True)
+class SirSample:
+    """Signal power, aggregate interference power, and their SIR ratio."""
+
+    signal_power: float
+    interference_power: float
+    k_self: int
+    sir: float
+
+    def __post_init__(self) -> None:
+        if self.signal_power < 0.0 or self.interference_power <= 0.0:
+            raise DomainError("powers must be non-negative / positive")
+        if self.sir != (self.signal_power / self.k_self) / self.interference_power:
+            raise DomainError("sir field disagrees with its defining ratio")
+
+
+def sample_channel(
+    config: SystemConfig, alloc: StreamAllocation, rng: np.random.Generator
+) -> ChannelSet:
+    """Draw one full channel grid from an externally managed stream."""
+    alloc.validate_against(config)
+    n, m = config.num_links, config.num_antennas
+    grid = []
+    for tx in range(n):
+        z = rng.standard_normal(size=(n, m, alloc.streams[tx], 2))
+        block = (z[..., 0] + 1j * z[..., 1]) * math.sqrt(0.5)
+        grid.append(tuple(block[rx] for rx in range(n)))
+    return ChannelSet(tuple(grid))
+
+
+def zf_nulling_vector(h_self: np.ndarray, j: int) -> ZfVector:
+    """Receiver direction for stream j of one link's own M x k matrix.
+
+    For k = 1 there is nothing to null and the matched direction is
+    returned.  Otherwise the vector is the normalized residual of column
+    j against the orthogonal complement of the other columns, which is
+    the admissible direction maximizing |q H(j)|.  Raises
+    RankDeficiencyError when the excluded columns are numerically
+    rank-deficient or column j lies in their span.
+    """
+    h = np.asarray(h_self, dtype=np.complex128)
+    if h.ndim != 2:
+        raise DomainError(f"h_self must be a matrix, got shape {h.shape}")
+    m, k = h.shape
+    if k > m:
+        raise DomainError(f"streams {k} exceed antennas {m}")
+    if not 0 <= j < k:
+        raise DomainError(f"stream index {j} out of range for k={k}")
+    target = h[:, j]
+    if k == 1:
+        norm = float(np.linalg.norm(target))
+        if norm == 0.0:
+            raise RankDeficiencyError("zero column cannot be matched")
+        return ZfVector(target.conj() / norm)
+
+    excluded = np.delete(h, j, axis=1)
+    u, svals, _ = np.linalg.svd(excluded, full_matrices=False)
+    if svals[0] == 0.0 or svals[-1] / svals[0] < _RANK_TOL:
+        raise RankDeficiencyError(
+            f"excluded columns rank-deficient (sigma ratio "
+            f"{0.0 if svals[0] == 0.0 else svals[-1] / svals[0]:.3e})"
+        )
+    residual = target - u @ (u.conj().T @ target)
+    norm = float(np.linalg.norm(residual))
+    if norm / float(np.linalg.norm(target)) < _RANK_TOL:
+        raise RankDeficiencyError("stream column lies in the excluded span")
+    q = residual.conj() / norm
+    leak = float(np.max(np.abs(q @ excluded)))
+    if leak > 1e-10:
+        raise NumericalError(f"nulling residual leaks {leak:.3e} into excluded columns")
+    return ZfVector(q)
+
+
+def stream_sir(channels: ChannelSet, link: int, stream: int) -> SirSample:
+    """SIR of one stream of one link on a given realization.
+
+    This is the readable reference path (one trial, explicit nulling
+    vector); the batched estimators in zfoutage.montecarlo reproduce it
+    in vectorized form, draw for draw.
+    """
+    n = channels.num_links
+    if not 0 <= link < n:
+        raise DomainError(f"link {link} out of range for {n} links")
+    streams = channels.streams
+    k_self = streams[link]
+    if not 0 <= stream < k_self:
+        raise DomainError(f"stream {stream} out of range for k={k_self}")
+    h_self = channels.matrices[link][link]
+    q = zf_nulling_vector(h_self, stream).vector
+    signal = float(abs(q @ h_self[:, stream]) ** 2)
+    pieces = []
+    for m in range(n):
+        if m == link:
+            continue
+        z = q @ channels.matrices[m][link]
+        pieces.append(np.sum(z.real * z.real + z.imag * z.imag) / streams[m])
+    interference = float(math.fsum(pieces))
+    return SirSample(
+        signal_power=signal,
+        interference_power=interference,
+        k_self=k_self,
+        sir=(signal / k_self) / interference,
+    )

@@ -220,6 +220,34 @@ class TestMinLinks:
                 with pytest.raises(SearchBudgetError):
                     min_links_single_stream(m, beta, cap=n_star - 1)
 
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_definition_on_grid(self, m):
+        # N* is the smallest N >= 2 at which every p's inequality holds,
+        # in logs ((N-1)k - 1) * slope_p + offset_p >= 0; binding_p is the
+        # p first satisfied at N* with the smallest margin there, and the
+        # smallest such p on a tie.
+        for beta in (0.01, 0.05, 0.2, 1 / 3, 1.0, 2.0, 7.5, 30.0, 100.0):
+            for k_other in range(1, m + 1):
+                k = float(k_other)
+
+                def margin(p, n):
+                    slope = math.log((k + beta * (p + 1)) / (k + beta * p))
+                    offset = (m - p + 1) * math.log(beta / (k + beta)) - math.log(
+                        (p + 1) / p
+                    )
+                    return ((n - 1) * k - 1.0) * slope + offset
+
+                result = min_links_single_stream(m, beta, k_other)
+                n_star, streams = result.n_star, range(1, m + 1)
+                assert n_star >= 2
+                assert all(margin(p, n_star) >= 0.0 for p in streams)
+                if n_star > 2:
+                    assert margin(result.binding_p, n_star - 1) < 0.0
+                first = [
+                    p for p in streams if n_star == 2 or margin(p, n_star - 1) < 0.0
+                ]
+                assert result.binding_p == min(first, key=lambda p: margin(p, n_star))
+
     def test_monotone_in_threshold(self):
         stars = [min_links_single_stream(5, b).n_star for b in (1.0, 2.0, 4.0, 8.0)]
         assert all(a >= b for a, b in zip(stars, stars[1:]))

@@ -256,6 +256,25 @@ class TestFigureCommands:
         assert stamp["n_list"] == "4,8"
         assert len(rows) == 6
 
+    @pytest.mark.parametrize(
+        "which, flag, value",
+        [
+            ("fig1", "--links", "5"),
+            ("fig2", "--beta", "2"),
+            ("fig2", "--n-list", "4,8"),
+            ("fig3", "--n-list", "4,8"),
+            ("fig1", "--beta-list", "1,2"),
+            ("fig3", "--beta-list", "1,2"),
+        ],
+    )
+    def test_ignored_flag_rejected(self, capsys, which, flag, value):
+        # A flag the chosen figure would ignore is an error, not a no-op.
+        code, out, err = run_cli(capsys, "figure", which, flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert flag in err
+
 
 class TestNstarCommand:
     def test_reports_both_thresholds(self, capsys):
@@ -386,6 +405,34 @@ class TestExitCodes:
         assert result.returncode == 2
         assert result.stderr.startswith("error:")
         assert "Traceback" not in result.stderr
+
+    def test_rate_to_beta_overflow(self):
+        # 2**2000 does not fit a float: an invalid argument, not a traceback.
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "zfoutage",
+                "capacity", "--links", "2", "--antennas", "1", "--rate-to-beta", "2000",
+            ],
+            capture_output=True,
+            text=True,
+            env=checkout_env(),
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("error:")
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("backend", ["analytic", "mc"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one(self, capsys, backend, workers):
+        code, out, err = run_cli(
+            capsys,
+            "capacity", "--links", "2", "--antennas", "1", "--backend", backend,
+            "--workers", workers,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "workers" in err
 
     def test_numerical_failure_maps_to_three(self, capsys, monkeypatch):
         def explode(config, alloc):
@@ -573,3 +620,18 @@ class TestEntryPoints:
         assert invalid.returncode == 2
         assert invalid.stderr.startswith("error:")
         assert "Traceback" not in invalid.stderr
+
+    def test_import_loads_numpy_random_not_scipy(self):
+        # scipy is a test dependency only: the package and its CLI run on
+        # numpy alone.  numpy.random is loaded at import so that forked
+        # pool workers inherit it rather than each loading it again.
+        code = (
+            "import sys, zfoutage, zfoutage.cli\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+            "assert 'numpy.random' in sys.modules, 'numpy.random not loaded'\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=checkout_env(),
+        )
+        assert result.returncode == 0, result.stderr

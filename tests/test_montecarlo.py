@@ -6,19 +6,21 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from zfoutage.analytic import success_prob_equal_k, sum_capacity_analytic
-from zfoutage.core import (
-    DomainError,
-    RankDeficiencyError,
-    StreamAllocation,
-    SystemConfig,
-)
-from zfoutage.montecarlo import (
-    BLOCK_TRIALS,
+from oracles import (
     ChannelSet,
-    MonteCarloEstimate,
+    RankDeficiencyError,
     SirSample,
     ZfVector,
+    sample_channel,
+    stream_sir,
+    zf_nulling_vector,
+)
+from zfoutage import montecarlo
+from zfoutage.analytic import success_prob_equal_k, sum_capacity_analytic
+from zfoutage.core import DomainError, StreamAllocation, SystemConfig
+from zfoutage.montecarlo import (
+    BLOCK_TRIALS,
+    MonteCarloEstimate,
     direct_distribution_outage,
     direct_sir_samples,
     empirical_link_success,
@@ -26,9 +28,6 @@ from zfoutage.montecarlo import (
     link_power_samples,
     link_sir_samples,
     link_success_sweep,
-    sample_channel,
-    stream_sir,
-    zf_nulling_vector,
 )
 
 
@@ -220,6 +219,46 @@ class TestStreamSir:
             stream_sir(chans, 0, 1)
 
 
+class TestKernelMatchesReference:
+    @pytest.mark.parametrize(
+        "streams, link",
+        [
+            ((1, 2, 3), 0),  # k_self = 1
+            ((2, 1, 3, 1), 0),  # 1 < k_self < M
+            ((4, 2, 1), 0),  # k_self = M
+            ((3, 1, 4, 2), 2),  # k_self = M on a later link
+        ],
+    )
+    def test_per_trial_powers(self, streams, link):
+        # The batched kernel and the per-trial reference path, fed the
+        # same draws, must agree on every trial's signal and interference.
+        m, seed, block, size = 4, 1234, 1, 64
+        config = SystemConfig(len(streams), m, 1.0)
+        signal, interference, _, resampled = montecarlo._link_block(
+            config, StreamAllocation(streams), link, seed, block, size, False
+        )
+        assert resampled == 0
+        # Rebuild the block's draws in the kernel's order: every
+        # interference column first, then the self matrix.
+        rng = montecarlo._block_rng(seed, montecarlo._PURPOSE_LINK, link, block)
+        others = [tx for tx in range(len(streams)) if tx != link]
+        edges = np.cumsum([0] + [streams[tx] for tx in others])
+        h_int = montecarlo._complex_normal(rng, (size, m, edges[-1]))
+        h_self = montecarlo._complex_normal(rng, (size, m, streams[link]))
+        for t in range(size):
+            # Only the matrices arriving at `link` are read; the rest stay 0.
+            grid = [[np.zeros((m, k), dtype=np.complex128)] * len(streams)
+                    for k in streams]
+            grid[link][link] = h_self[t]
+            for i, tx in enumerate(others):
+                grid[tx][link] = h_int[t][:, edges[i] : edges[i + 1]]
+            ref = stream_sir(ChannelSet(tuple(map(tuple, grid))), link, 0)
+            np.testing.assert_allclose(signal[t], ref.signal_power, rtol=1e-10)
+            np.testing.assert_allclose(
+                interference[t], ref.interference_power, rtol=1e-10
+            )
+
+
 class TestEstimatorDeterminism:
     def test_same_seed_same_estimate(self):
         cfg = SystemConfig(4, 2, 1.0)
@@ -377,3 +416,46 @@ class TestTrialAndSeedArguments:
     def test_seed_range_ends_accepted(self, sampler):
         for seed in (0, 2**128 - 1):
             _SAMPLERS[sampler](100, seed)
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("workers", [0, -3, True, 1.5])
+    def test_rejected_before_sampling(self, workers):
+        with pytest.raises(DomainError):
+            empirical_link_success(
+                SystemConfig(2, 2, 1.0), StreamAllocation((1, 1)), 0, 100, 0,
+                workers=workers,
+            )
+        with pytest.raises(DomainError):
+            direct_distribution_outage(2, 1, [1], 1.0, 100, 0, workers=workers)
+
+    @pytest.mark.parametrize(
+        "workers, cpus, pool_size",
+        [(8, 3, 3), (2, 8, 2), (64, 64, 5), (8, 1, None), (8, None, None)],
+        ids=["cpus", "workers", "blocks", "one_cpu", "unknown_cpus"],
+    )
+    def test_pool_capped(self, monkeypatch, workers, cpus, pool_size):
+        # The pool gets min(workers, blocks, cpus) processes, and none
+        # when that is 1.  A serial stand-in records the size asked for,
+        # so no real pool is started.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        trials = 5 * BLOCK_TRIALS
+        est = direct_distribution_outage(2, 1, [1], 1.0, trials, 4, workers=workers)
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert est == direct_distribution_outage(2, 1, [1], 1.0, trials, 4)

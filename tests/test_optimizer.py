@@ -227,6 +227,4 @@ class TestEmpiricalThreshold:
         with pytest.raises(DomainError):
             empirical_threshold(3, 1.0, k_other=4)
         with pytest.raises(DomainError):
-            empirical_threshold(3, 1.0, objective="montecarlo")
-        with pytest.raises(DomainError):
             empirical_threshold(3, 1.0, window=-1)
