@@ -499,7 +499,9 @@ def cmd_validate(run: argparse.Namespace) -> int:
         abs(est.prob - exact) <= tol,
         f"mc {est.prob!r} within {tol!r} of {exact!r}",
     )
-    direct = montecarlo.direct_distribution_outage(1, 1, [1], 1.0, trials, seed)
+    direct = montecarlo.direct_distribution_outage(
+        1, 1, [1], 1.0, trials, seed, workers=workers
+    )
     tol = 3.0 * direct.std_error
     check(
         "direct-vs-exact",
@@ -523,7 +525,9 @@ def cmd_validate(run: argparse.Namespace) -> int:
     cfg3 = SystemConfig(4, 4, 1.0, 1.0)
     al3 = StreamAllocation((1, 1, 2, 4))
     full = montecarlo.empirical_link_success(cfg3, al3, 0, trials, seed, workers=workers)
-    direct3 = montecarlo.direct_distribution_outage(4, 1, [1, 2, 4], 1.0, trials, seed)
+    direct3 = montecarlo.direct_distribution_outage(
+        4, 1, [1, 2, 4], 1.0, trials, seed, workers=workers
+    )
     tol = 3.0 * math.hypot(full.std_error, direct3.std_error)
     check(
         "full-channel-vs-direct",
@@ -545,9 +549,11 @@ def cmd_validate(run: argparse.Namespace) -> int:
     )
 
     # Threshold sweep shares its run with single-threshold calls.
-    sweep = montecarlo.link_success_sweep(cfg2, al2, 0, [0.5, 2.0], trials, seed)
+    sweep = montecarlo.link_success_sweep(
+        cfg2, al2, 0, [0.5, 2.0], trials, seed, workers=workers
+    )
     single = montecarlo.empirical_link_success(
-        SystemConfig(4, 3, 2.0, 1.0), al2, 0, trials, seed
+        SystemConfig(4, 3, 2.0, 1.0), al2, 0, trials, seed, workers=workers
     )
     check(
         "sweep-matches-single",

@@ -11,7 +11,9 @@ Determinism contract.  Trials are split into fixed blocks of
 BLOCK_TRIALS; block b of a given purpose draws from an own counter-keyed
 stream, Philox(key=seed, counter=[0, 0, b, purpose<<32 | unit]).  Blocks
 are merged in index order, so results depend only on (arguments, seed),
-never on the worker count.  Within a block the draw order is fixed:
+never on the worker count.  Parallel blocks run on threads of one shared
+pool: numpy's generators and LAPACK release the GIL, and no block shares
+state with another.  Within a block the draw order is fixed:
 interference entries first, then the self matrix.  Keeping the
 interference draws first means estimates for different k_self candidates
 under one seed share their interference realizations, which is what
@@ -27,13 +29,14 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 # numpy loads numpy.random on first use.  Loading it here, at import,
-# lets forked pool workers inherit it instead of each loading it again.
+# keeps that cost out of the first Monte Carlo call.
 import numpy.random
 
 from .core import (
@@ -76,7 +79,8 @@ def _block_rng(seed: int, purpose: int, unit: int, block: int) -> np.random.Gene
 def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """CN(0,1) entries: unit-variance circularly symmetric Gaussians."""
     z = rng.standard_normal(size=shape + (2,))
-    return z.view(np.complex128)[..., 0] * _SQRT_HALF
+    z *= _SQRT_HALF  # in place: no second array of the block's size
+    return z.view(np.complex128)[..., 0]
 
 
 @dataclass(frozen=True)
@@ -155,10 +159,6 @@ def _link_block(
     return signal, interference, summands, resampled
 
 
-def _link_block_task(args):
-    return _link_block(*args)
-
-
 def _direct_block(
     num_antennas: int,
     k_self: int,
@@ -176,10 +176,6 @@ def _direct_block(
     return signal, interference
 
 
-def _direct_block_task(args):
-    return _direct_block(*args)
-
-
 def _block_sizes(trials: int) -> list[int]:
     full, rest = divmod(trials, BLOCK_TRIALS)
     sizes = [BLOCK_TRIALS] * full
@@ -188,13 +184,67 @@ def _block_sizes(trials: int) -> list[int]:
     return sizes
 
 
-def _run_tasks(task_fn, args_list, workers: int):
-    # More processes than blocks or CPUs only add start-up cost.
-    pool_size = min(workers, len(args_list), os.cpu_count() or 1)
-    if pool_size <= 1:
-        return [task_fn(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=pool_size) as pool:
-        return list(pool.map(task_fn, args_list, chunksize=4))
+# One thread pool for the whole process, started by the first parallel
+# call.  Its threads are marked so that a block running on one never
+# submits to the pool it runs on.
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+_pool_thread = threading.local()
+
+
+def _mark_pool_thread() -> None:
+    _pool_thread.active = True
+
+
+def _shared_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(
+                max_workers=os.cpu_count() or 1,
+                thread_name_prefix="zfoutage-mc",
+                initializer=_mark_pool_thread,
+            )
+        return _pool
+
+
+def _forget_pool() -> None:
+    # A forked child has none of the parent's threads; it starts its own.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _lane(task_fn, args_list, start: int, step: int) -> list:
+    """Blocks start, start + step, ... of a call, in order."""
+    return [task_fn(*args) for args in args_list[start::step]]
+
+
+def _run_tasks(task_fn, args_list, workers: int) -> list:
+    """Run task_fn on every argument tuple; results in block order.
+
+    The call uses min(workers, blocks, CPUs) lanes.  The caller runs
+    lane 0 itself and the shared pool runs the others.
+    """
+    # More lanes than blocks or CPUs only add hand-off cost.
+    lanes = min(workers, len(args_list), os.cpu_count() or 1)
+    if lanes <= 1 or getattr(_pool_thread, "active", False):
+        return _lane(task_fn, args_list, 0, 1)
+    pool = _shared_pool()
+    futures = [
+        pool.submit(_lane, task_fn, args_list, i, lanes) for i in range(1, lanes)
+    ]
+    try:
+        first = _lane(task_fn, args_list, 0, lanes)
+    finally:
+        wait(futures)
+    results = [None] * len(args_list)
+    results[0::lanes] = first
+    for i, future in enumerate(futures, start=1):
+        results[i::lanes] = future.result()
+    return results
 
 
 def _check_mc_args(trials: int, seed: int, workers: int) -> None:
@@ -229,7 +279,7 @@ def _link_blocks(
         (config, alloc, link, seed, block, size, keep_summands)
         for block, size in enumerate(_block_sizes(trials))
     ]
-    results = _run_tasks(_link_block_task, args, workers)
+    results = _run_tasks(_link_block, args, workers)
     resampled = sum(r[3] for r in results)
     if resampled > _resample_budget(trials):
         raise NumericalError(
@@ -252,7 +302,7 @@ def _direct_blocks(
         (num_antennas, k_self, others, seed, block, size)
         for block, size in enumerate(_block_sizes(trials))
     ]
-    return _run_tasks(_direct_block_task, args, workers)
+    return _run_tasks(_direct_block, args, workers)
 
 
 def _estimate(

@@ -230,6 +230,12 @@ def maximize_sum_capacity(
     raise DomainError(f"mode must be 'exhaustive' or 'coordinate', got {mode!r}")
 
 
+# The closed-form N* costs the same at any N, so empirical_threshold holds
+# it only to the largest N a double represents exactly, not to the scan's
+# cap.
+_ANALYTIC_CAP = 2**53
+
+
 def empirical_threshold(
     num_antennas: int,
     beta: float,
@@ -243,8 +249,9 @@ def empirical_threshold(
     Scans N upward from 2 and returns the first N at which
     best_response = 1 holds for N and the next ``window`` consecutive
     link counts, guarding against non-monotone crossings.  The analytic
-    sufficient bound is computed alongside for comparison.  Raises
-    SearchBudgetError when no such N <= cap exists.
+    sufficient bound is computed alongside for comparison; ``cap`` does
+    not apply to it.  Raises SearchBudgetError when no such N <= cap
+    exists.
     """
     if not (isinstance(num_antennas, int) and num_antennas >= 1):
         raise DomainError(f"num_antennas must be an int >= 1, got {num_antennas!r}")
@@ -276,7 +283,9 @@ def empirical_threshold(
                 return ThresholdResult(
                     threshold=run_start,
                     window=window,
-                    analytic=min_links_single_stream(num_antennas, beta, k_other),
+                    analytic=min_links_single_stream(
+                        num_antennas, beta, k_other, cap=_ANALYTIC_CAP
+                    ),
                 )
         else:
             run_start = None

@@ -294,6 +294,16 @@ class TestNstarCommand:
         assert code == 4
         assert "error" in err
 
+    def test_analytic_bound_beyond_default_cap(self, capsys):
+        # The analytic N* (1,220,629) lies past 10^6, the default cap of
+        # min_links_single_stream; the scan's cap does not bound it.
+        code, out, err = run_cli(capsys, "nstar", "--antennas", "1", "--beta", "1e-5")
+        assert code == 0, err
+        _, columns, rows = parse_csv(out)
+        record = dict(zip(columns, rows[0]))
+        assert record["analytic_n_star"] == "1220629"
+        assert record["empirical_threshold"] == "2"
+
 
 class TestOptimizeCommand:
     def test_exhaustive_table(self, capsys):
@@ -350,6 +360,33 @@ class TestValidateCommand:
         assert "8/8 checks passed" in out
         assert out.count("PASS") == 8
         assert "FAIL" not in out
+
+    def test_workers_reach_every_monte_carlo_call(self, capsys, monkeypatch):
+        from zfoutage import montecarlo
+
+        seen = []
+
+        def spy(fn):
+            def wrapper(*args, **kwargs):
+                seen.append((fn.__name__, kwargs.get("workers")))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("empirical_link_success", "link_success_sweep",
+                     "direct_distribution_outage"):
+            monkeypatch.setattr(montecarlo, name, spy(getattr(montecarlo, name)))
+        argv = ("validate", "--trials", "20000", "--seed", "3")
+        _, serial, _ = run_cli(capsys, *argv, "--workers", "1")
+        seen.clear()
+        code, parallel, _ = run_cli(capsys, *argv, "--workers", "2")
+        assert code == 0
+        assert len(seen) == 7
+        assert all(workers == 2 for _, workers in seen), seen
+        assert {name for name, _ in seen} == {
+            "empirical_link_success", "link_success_sweep",
+            "direct_distribution_outage",
+        }
+        assert parallel == serial
 
 
 class TestExitCodes:
@@ -623,8 +660,8 @@ class TestEntryPoints:
 
     def test_import_loads_numpy_random_not_scipy(self):
         # scipy is a test dependency only: the package and its CLI run on
-        # numpy alone.  numpy.random is loaded at import so that forked
-        # pool workers inherit it rather than each loading it again.
+        # numpy alone.  numpy.random is loaded at import so that its
+        # loading cost stays out of the first Monte Carlo call.
         code = (
             "import sys, zfoutage, zfoutage.cli\n"
             "assert 'scipy' not in sys.modules, 'scipy was imported'\n"

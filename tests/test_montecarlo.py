@@ -1,6 +1,10 @@
 """Channel sampling, nulling vectors, and the two simulation paths."""
 
 import math
+import multiprocessing
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -418,6 +422,21 @@ class TestTrialAndSeedArguments:
             _SAMPLERS[sampler](100, seed)
 
 
+@pytest.fixture
+def lanes_run(monkeypatch):
+    """(start, step, ran in the calling thread) of every lane run."""
+    seen = []
+    caller = threading.current_thread()
+    real_lane = montecarlo._lane
+
+    def spy(task_fn, args_list, start, step):
+        seen.append((start, step, threading.current_thread() is caller))
+        return real_lane(task_fn, args_list, start, step)
+
+    monkeypatch.setattr(montecarlo, "_lane", spy)
+    return seen
+
+
 class TestWorkerCount:
     @pytest.mark.parametrize("workers", [0, -3, True, 1.5])
     def test_rejected_before_sampling(self, workers):
@@ -430,32 +449,141 @@ class TestWorkerCount:
             direct_distribution_outage(2, 1, [1], 1.0, 100, 0, workers=workers)
 
     @pytest.mark.parametrize(
-        "workers, cpus, pool_size",
-        [(8, 3, 3), (2, 8, 2), (64, 64, 5), (8, 1, None), (8, None, None)],
-        ids=["cpus", "workers", "blocks", "one_cpu", "unknown_cpus"],
+        "workers, cpus, blocks, lanes",
+        [
+            (8, 3, 5, 3),
+            (2, 8, 5, 2),
+            (64, 64, 5, 5),
+            (8, 1, 5, 1),
+            (8, None, 5, 1),
+            (2, 2, 2, 2),
+        ],
+        ids=["cpus", "workers", "blocks", "one_cpu", "unknown_cpus", "two_blocks"],
     )
-    def test_pool_capped(self, monkeypatch, workers, cpus, pool_size):
-        # The pool gets min(workers, blocks, cpus) processes, and none
-        # when that is 1.  A serial stand-in records the size asked for,
-        # so no real pool is started.
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    def test_pool_capped(self, monkeypatch, lanes_run, workers, cpus, blocks, lanes):
+        # A call runs min(workers, blocks, cpus) lanes.  Lane i takes
+        # blocks i, i + lanes, ...; lane 0 runs in the calling thread,
+        # and so does the whole call when it has one lane.
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
-        trials = 5 * BLOCK_TRIALS
+        trials = blocks * BLOCK_TRIALS
         est = direct_distribution_outage(2, 1, [1], 1.0, trials, 4, workers=workers)
-        assert sizes == ([] if pool_size is None else [pool_size])
+        assert sorted(lanes_run) == [(i, lanes, i == 0) for i in range(lanes)]
         assert est == direct_distribution_outage(2, 1, [1], 1.0, trials, 4)
+
+    def test_samples_merged_in_block_order(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+        cfg, alloc = SystemConfig(3, 3, 1.0), StreamAllocation((2, 1, 3))
+        trials = 4 * BLOCK_TRIALS + 100
+        np.testing.assert_array_equal(
+            link_sir_samples(cfg, alloc, 0, trials, 6, workers=3),
+            link_sir_samples(cfg, alloc, 0, trials, 6),
+        )
+        np.testing.assert_array_equal(
+            direct_sir_samples(3, 2, [1, 3], trials, 6, workers=3),
+            direct_sir_samples(3, 2, [1, 3], trials, 6),
+        )
+
+    def test_pool_thread_runs_serially(self, monkeypatch, lanes_run):
+        # A call made on a pool thread never submits to the pool it runs
+        # on, so it cannot wait on itself.
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        cfg, alloc = SystemConfig(3, 2, 1.0), StreamAllocation((1, 2, 1))
+
+        def call():
+            return empirical_link_success(cfg, alloc, 0, 2 * BLOCK_TRIALS, 5, workers=2)
+
+        nested = montecarlo._shared_pool().submit(call).result(timeout=120)
+        assert lanes_run == [(0, 1, False)]
+        assert nested == call()
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_forked_child_starts_its_own_pool(self, monkeypatch):
+        # A forked child inherits the pool object but none of its threads.
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        cfg, alloc = SystemConfig(3, 2, 1.0), StreamAllocation((2, 1, 1))
+
+        def call():
+            return empirical_link_success(cfg, alloc, 0, 3 * BLOCK_TRIALS, 8, workers=2)
+
+        expected = call()
+        montecarlo._shared_pool()
+
+        def child():
+            assert call() == expected
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=120)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+            pytest.fail("the forked child waited on its parent's pool threads")
+        assert proc.exitcode == 0
+
+
+class TestConcurrentCallers:
+    def test_each_thread_gets_its_serial_results(self, monkeypatch):
+        # Two threads share the pool at once; each result must equal its
+        # own serial call bit for bit, resample count included.  They
+        # start with no pool, so both race to create the one pool.
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        created = []
+
+        class CountedPool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                created.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", CountedPool)
+        monkeypatch.setattr(montecarlo, "_pool", None)
+        cfg = SystemConfig(4, 3, 1.0)
+        trials = 3 * BLOCK_TRIALS + 7
+
+        def full(streams):
+            alloc = StreamAllocation(streams)
+            return lambda w: empirical_link_success(cfg, alloc, 0, trials, 17, workers=w)
+
+        calls = [
+            full((1, 2, 3, 1)),  # k_self = 1
+            full((2, 1, 3, 1)),  # 1 < k_self < M
+            full((3, 1, 2, 2)),  # k_self = M
+            lambda w: direct_distribution_outage(3, 2, [1, 3], 1.0, trials, 17, workers=w),
+        ]
+        serial = [call(1) for call in calls]
+        orders = [list(range(len(calls))), list(reversed(range(len(calls))))]
+        results = [{} for _ in orders]
+        errors = []
+        barrier = threading.Barrier(len(orders))
+
+        def run(order, out):
+            try:
+                barrier.wait(timeout=60)
+                for _ in range(2):
+                    for i in order:
+                        out.setdefault(i, []).append(calls[i](2))
+            except BaseException as exc:  # reported below, in the test thread
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=run, args=(order, out))
+            for order, out in zip(orders, results)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert not any(t.is_alive() for t in threads)
+        assert len(created) == 1
+        for out in results:
+            for i, expected in enumerate(serial):
+                for got in out[i]:
+                    assert got == expected
+                    assert got.resampled == expected.resampled
