@@ -33,7 +33,6 @@ from .core import (
 from .analytic import (
     NStarResult,
     gamma_approx_params,
-    link_capacity_equal_k,
     link_success_prob,
     min_links_single_stream,
     success_prob_equal_k,
@@ -46,7 +45,6 @@ from .montecarlo import (
     direct_sir_samples,
     empirical_link_success,
     empirical_outage,
-    link_power_samples,
     link_sir_samples,
     link_success_sweep,
 )
@@ -83,8 +81,6 @@ __all__ = [
     "empirical_outage",
     "empirical_threshold",
     "gamma_approx_params",
-    "link_capacity_equal_k",
-    "link_power_samples",
     "link_sir_samples",
     "link_success_prob",
     "link_success_sweep",

@@ -40,12 +40,13 @@ from .core import (
     SearchBudgetError,
     StreamAllocation,
     SystemConfig,
+    check_int,
+    check_positive,
     clamp_probability,
 )
 
 __all__ = [
     "success_prob_equal_k",
-    "link_capacity_equal_k",
     "gamma_approx_params",
     "success_prob_general",
     "link_success_prob",
@@ -78,13 +79,6 @@ def _series_sum(num_extra: int, d: float, lam: float) -> float:
     return math.fsum(terms)
 
 
-def _check_stream_count(name: str, value: int, num_antennas: int) -> None:
-    if not (isinstance(value, int) and 1 <= value <= num_antennas):
-        raise DomainError(
-            f"{name} must be an int in [1, {num_antennas}], got {value!r}"
-        )
-
-
 def success_prob_equal_k(
     num_antennas: int,
     num_links: int,
@@ -97,33 +91,16 @@ def success_prob_equal_k(
     The interference k_other * I is a sum of (N-1)*k_other unit
     exponentials, so the result is exact (no moment matching).
     """
-    if not (isinstance(num_antennas, int) and num_antennas >= 1):
-        raise DomainError(f"num_antennas must be an int >= 1, got {num_antennas!r}")
-    if not (isinstance(num_links, int) and num_links >= 2):
-        raise DomainError(f"num_links must be an int >= 2, got {num_links!r}")
-    _check_stream_count("k_self", k_self, num_antennas)
-    _check_stream_count("k_other", k_other, num_antennas)
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise DomainError(f"beta must be finite and > 0, got {beta!r}")
+    num_antennas = check_int("num_antennas", num_antennas, 1)
+    num_links = check_int("num_links", num_links, 2)
+    k_self = check_int("k_self", k_self, 1, num_antennas)
+    k_other = check_int("k_other", k_other, 1, num_antennas)
+    check_positive("beta", beta)
 
     lam = float((num_links - 1) * k_other)
     d = beta * k_self / k_other
     total = _series_sum(num_antennas - k_self, d, lam)
     return clamp_probability(total)
-
-
-def link_capacity_equal_k(
-    config: SystemConfig, k_self: int, k_other: int
-) -> float:
-    """Outage capacity rate * k_self * P(SIR >= beta) under equal interferers."""
-    p = success_prob_equal_k(
-        config.num_antennas,
-        config.num_links,
-        k_self,
-        k_other,
-        config.sir_threshold,
-    )
-    return config.rate * k_self * p
 
 
 def gamma_approx_params(weights: Sequence[float]) -> GammaParams:
@@ -137,9 +114,8 @@ def gamma_approx_params(weights: Sequence[float]) -> GammaParams:
     ws = [float(w) for w in weights]
     if not ws:
         raise DomainError("weights must be non-empty")
-    for w in ws:
-        if not (math.isfinite(w) and w > 0.0):
-            raise DomainError(f"weights must be positive reals, got {w!r}")
+    for w in set(ws):  # weights repeat (k copies of 1/k): check each value once
+        check_positive("weights entry", w)
     total = math.fsum(ws)
     total_sq = math.fsum(w * w for w in ws)
     params = GammaParams(shape=total * total / total_sq, rate=total / total_sq)
@@ -170,16 +146,12 @@ def success_prob_general(
     No special casing: when all k_m agree the fit is exact and the value
     lands on success_prob_equal_k to floating-point accuracy.
     """
-    if not (isinstance(num_antennas, int) and num_antennas >= 1):
-        raise DomainError(f"num_antennas must be an int >= 1, got {num_antennas!r}")
-    _check_stream_count("k_self", k_self, num_antennas)
-    others = list(k_others)
+    num_antennas = check_int("num_antennas", num_antennas, 1)
+    k_self = check_int("k_self", k_self, 1, num_antennas)
+    others = [check_int("k_others entry", k, 1, num_antennas) for k in k_others]
     if not others:
         raise DomainError("k_others must name at least one interferer")
-    for k in others:
-        _check_stream_count("k_others entry", k, num_antennas)
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise DomainError(f"beta must be finite and > 0, got {beta!r}")
+    check_positive("beta", beta)
 
     weights = [1.0 / k for k in others for _ in range(k)]
     params = gamma_approx_params(weights)
@@ -225,11 +197,9 @@ def min_links_single_stream(
     N_p - 1 (or N_p = 2).  The threshold is N* = max_p N_p.  Raises
     SearchBudgetError when N* exceeds ``cap``.
     """
-    if not (isinstance(num_antennas, int) and num_antennas >= 1):
-        raise DomainError(f"num_antennas must be an int >= 1, got {num_antennas!r}")
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise DomainError(f"beta must be finite and > 0, got {beta!r}")
-    _check_stream_count("k_other", k_other, num_antennas)
+    num_antennas = check_int("num_antennas", num_antennas, 1)
+    check_positive("beta", beta)
+    k_other = check_int("k_other", k_other, 1, num_antennas)
 
     k = float(k_other)
     slopes = []
@@ -286,10 +256,6 @@ def link_success_prob(
     otherwise.
     """
     alloc.validate_against(config)
-    if not 0 <= link < config.num_links:
-        raise DomainError(
-            f"link index {link} out of range for {config.num_links} links"
-        )
     others = alloc.others(link)
     k_self = alloc.streams[link]
     if len(set(others)) == 1:

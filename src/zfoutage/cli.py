@@ -232,6 +232,8 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, int):
@@ -418,13 +420,14 @@ def cmd_nstar(run: argparse.Namespace) -> int:
     threshold = optimizer.empirical_threshold(
         run.antennas, run.beta, run.k_other, window=run.window, cap=run.cap
     )
-    analytic_result = threshold.analytic
+    # Past 2**53 there is no analytic bound: its cells are empty (JSON null).
+    bound = threshold.analytic
     stamp = _stamp(run, "antennas", "beta", "k_other")
     row = {
-        "analytic_n_star": analytic_result.n_star,
-        "binding_p": analytic_result.binding_p,
+        "analytic_n_star": bound and bound.n_star,
+        "binding_p": bound and bound.binding_p,
         "empirical_threshold": threshold.threshold,
-        "analytic_ratio": analytic_result.n_star / run.antennas,
+        "analytic_ratio": bound and bound.n_star / run.antennas,
         "empirical_ratio": threshold.threshold / run.antennas,
     }
     _emit(run, stamp, [row])

@@ -17,6 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -26,6 +27,8 @@ __all__ = [
     "SearchBudgetError",
     "CLAMP_TOL",
     "SMALL_SAMPLE_FLOOR",
+    "check_int",
+    "check_positive",
     "clamp_probability",
     "clamp_count",
     "reset_clamp_count",
@@ -50,6 +53,35 @@ class NumericalError(ZfOutageError, ArithmeticError):
 
 class SearchBudgetError(ZfOutageError, RuntimeError):
     """A discrete search hit its evaluation cap before terminating."""
+
+
+def check_int(name: str, value, lo: int, hi: int | None = None) -> int:
+    """``value`` as an int if it is an integer in [lo, hi]; else DomainError.
+
+    An integer is anything ``operator.index`` accepts (numpy integers
+    too) except bool.  ``hi=None`` leaves the range open above.
+    """
+    if not isinstance(value, bool):
+        try:
+            number = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if lo <= number and (hi is None or number <= hi):
+                return number
+    bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+    raise DomainError(f"{name} must be an int {bounds}, got {value!r}")
+
+
+def check_positive(name: str, value):
+    """``value`` unchanged if it is a finite real > 0; else DomainError."""
+    try:
+        valid = math.isfinite(value) and value > 0.0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+    return value
 
 
 # Excursions beyond [0, 1] up to this size are snapped silently; anything
@@ -110,20 +142,10 @@ class SystemConfig:
     rate: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.num_links, int) and self.num_links >= 2):
-            raise DomainError(
-                f"num_links must be an int >= 2, got {self.num_links!r}"
-            )
-        if not (isinstance(self.num_antennas, int) and self.num_antennas >= 1):
-            raise DomainError(
-                f"num_antennas must be an int >= 1, got {self.num_antennas!r}"
-            )
-        if not (math.isfinite(self.sir_threshold) and self.sir_threshold > 0.0):
-            raise DomainError(
-                f"sir_threshold must be finite and > 0, got {self.sir_threshold!r}"
-            )
-        if not (math.isfinite(self.rate) and self.rate > 0.0):
-            raise DomainError(f"rate must be finite and > 0, got {self.rate!r}")
+        for name, lo in (("num_links", 2), ("num_antennas", 1)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), lo))
+        check_positive("sir_threshold", self.sir_threshold)
+        check_positive("rate", self.rate)
 
     @classmethod
     def from_rate(
@@ -134,8 +156,7 @@ class SystemConfig:
         With this choice a stream at rate R is in outage exactly when the
         ZF output cannot support R, so threshold and rate move together.
         """
-        if not (math.isfinite(rate) and rate > 0.0):
-            raise DomainError(f"rate must be finite and > 0, got {rate!r}")
+        check_positive("rate", rate)
         try:
             threshold = 2.0**rate - 1.0
         except OverflowError:
@@ -157,18 +178,16 @@ class StreamAllocation:
     streams: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        streams = tuple(int(k) for k in self.streams)
+        streams = tuple(check_int("stream count", k, 1) for k in self.streams)
         object.__setattr__(self, "streams", streams)
         if len(streams) < 2:
             raise DomainError(
                 f"an allocation needs at least two links, got {streams!r}"
             )
-        if any(k < 1 for k in streams):
-            raise DomainError(f"stream counts must be >= 1, got {streams!r}")
 
     @classmethod
     def uniform(cls, num_links: int, streams_per_link: int) -> "StreamAllocation":
-        return cls((int(streams_per_link),) * int(num_links))
+        return cls((streams_per_link,) * check_int("num_links", num_links, 0))
 
     @property
     def num_links(self) -> int:
@@ -176,20 +195,14 @@ class StreamAllocation:
 
     def others(self, link: int) -> tuple[int, ...]:
         """Stream counts of every link except ``link``."""
-        if not 0 <= link < len(self.streams):
-            raise DomainError(
-                f"link index {link} out of range for {len(self.streams)} links"
-            )
+        check_int("link index", link, 0, len(self.streams) - 1)
         return self.streams[:link] + self.streams[link + 1 :]
 
     def replace(self, link: int, streams: int) -> "StreamAllocation":
         """Copy of this allocation with one link's count changed."""
-        if not 0 <= link < len(self.streams):
-            raise DomainError(
-                f"link index {link} out of range for {len(self.streams)} links"
-            )
+        check_int("link index", link, 0, len(self.streams) - 1)
         new = list(self.streams)
-        new[link] = int(streams)
+        new[link] = streams
         return StreamAllocation(tuple(new))
 
     def validate_against(self, config: SystemConfig) -> None:
@@ -214,10 +227,8 @@ class GammaParams:
     rate: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.shape) and self.shape > 0.0):
-            raise DomainError(f"shape must be finite and > 0, got {self.shape!r}")
-        if not (math.isfinite(self.rate) and self.rate > 0.0):
-            raise DomainError(f"rate must be finite and > 0, got {self.rate!r}")
+        check_positive("shape", self.shape)
+        check_positive("rate", self.rate)
 
     @property
     def mean(self) -> float:

@@ -45,6 +45,8 @@ from .core import (
     OutageReport,
     StreamAllocation,
     SystemConfig,
+    check_int,
+    check_positive,
 )
 
 __all__ = [
@@ -53,7 +55,6 @@ __all__ = [
     "empirical_link_success",
     "link_success_sweep",
     "link_sir_samples",
-    "link_power_samples",
     "empirical_outage",
     "direct_sir_samples",
     "direct_distribution_outage",
@@ -95,8 +96,7 @@ class MonteCarloEstimate:
     def __post_init__(self) -> None:
         if not (0.0 <= self.prob <= 1.0):
             raise DomainError(f"estimate {self.prob!r} outside [0, 1]")
-        if self.trials < 1:
-            raise DomainError("trials must be >= 1")
+        check_int("trials", self.trials, 1)
 
 
 def _link_block(
@@ -106,11 +106,10 @@ def _link_block(
     seed: int,
     block: int,
     size: int,
-    keep_summands: bool,
 ):
     """Simulate `size` stream-1 trials for one link on one block stream.
 
-    Returns (signal, interference, summands or None, resampled).
+    Returns (signal, interference, resampled).
     """
     rng = _block_rng(seed, _PURPOSE_LINK, link, block)
     m = config.num_antennas
@@ -123,7 +122,6 @@ def _link_block(
 
     signal = np.empty(size)
     interference = np.empty(size)
-    summands = np.empty((size, k_int)) if keep_summands else None
     pending = np.arange(size)
     resampled = 0
     while pending.size:
@@ -152,11 +150,9 @@ def _link_block(
         powers = (z.real * z.real + z.imag * z.imag)
         signal[rows] = s[good]
         interference[rows] = powers @ col_weights
-        if keep_summands:
-            summands[rows] = powers
         pending = pending[bad]
         resampled += int(bad.sum())
-    return signal, interference, summands, resampled
+    return signal, interference, resampled
 
 
 def _direct_block(
@@ -248,14 +244,9 @@ def _run_tasks(task_fn, args_list, workers: int) -> list:
 
 
 def _check_mc_args(trials: int, seed: int, workers: int) -> None:
-    # bool is an int subclass, but True is no trial count, seed or worker count.
-    if isinstance(trials, bool) or not (isinstance(trials, int) and trials >= 1):
-        raise DomainError(f"trials must be an int >= 1, got {trials!r}")
-    # Philox takes a 128-bit key.
-    if isinstance(seed, bool) or not (isinstance(seed, int) and 0 <= seed < 2**128):
-        raise DomainError(f"seed must be an int in [0, 2**128), got {seed!r}")
-    if isinstance(workers, bool) or not (isinstance(workers, int) and workers >= 1):
-        raise DomainError(f"workers must be an int >= 1, got {workers!r}")
+    check_int("trials", trials, 1)
+    check_int("seed", seed, 0, 2**128 - 1)  # Philox takes a 128-bit key.
+    check_int("workers", workers, 1)
 
 
 def _resample_budget(trials: int) -> int:
@@ -269,18 +260,16 @@ def _link_blocks(
     trials: int,
     seed: int,
     workers: int,
-    keep_summands: bool = False,
 ):
     alloc.validate_against(config)
-    if not 0 <= link < config.num_links:
-        raise DomainError(f"link {link} out of range")
+    check_int("link index", link, 0, config.num_links - 1)
     _check_mc_args(trials, seed, workers)
     args = [
-        (config, alloc, link, seed, block, size, keep_summands)
+        (config, alloc, link, seed, block, size)
         for block, size in enumerate(_block_sizes(trials))
     ]
     results = _run_tasks(_link_block, args, workers)
-    resampled = sum(r[3] for r in results)
+    resampled = sum(r[2] for r in results)
     if resampled > _resample_budget(trials):
         raise NumericalError(
             f"{resampled} degenerate draws in {trials} trials "
@@ -292,11 +281,16 @@ def _link_blocks(
 def _direct_blocks(
     num_antennas: int,
     k_self: int,
-    others: tuple[int, ...],
+    k_others: Sequence[int],
     trials: int,
     seed: int,
     workers: int,
 ):
+    num_antennas = check_int("num_antennas", num_antennas, 1)
+    check_int("k_self", k_self, 1, num_antennas)
+    others = tuple(check_int("k_others entry", k, 1, num_antennas) for k in k_others)
+    if not others:
+        raise DomainError("k_others must name at least one interferer")
     _check_mc_args(trials, seed, workers)
     args = [
         (num_antennas, k_self, others, seed, block, size)
@@ -353,12 +347,9 @@ def link_success_sweep(
     empirical_link_success on a config whose sir_threshold is betas[i]
     with everything else equal.
     """
-    betas = [float(b) for b in betas]
+    betas = [float(check_positive("thresholds", b)) for b in betas]
     if not betas:
         raise DomainError("betas must be non-empty")
-    for b in betas:
-        if not (math.isfinite(b) and b > 0.0):
-            raise DomainError(f"thresholds must be finite and > 0, got {b!r}")
     results, resampled = _link_blocks(config, alloc, link, trials, seed, workers)
     k_self = alloc.streams[link]
     return [_estimate(results, k_self, b, trials, resampled) for b in betas]
@@ -377,28 +368,8 @@ def link_sir_samples(
     results, _ = _link_blocks(config, alloc, link, trials, seed, workers)
     k_self = alloc.streams[link]
     return np.concatenate(
-        [(signal / k_self) / interference for signal, interference, _, _ in results]
+        [(signal / k_self) / interference for signal, interference, _ in results]
     )
-
-
-def link_power_samples(
-    config: SystemConfig,
-    alloc: StreamAllocation,
-    link: int,
-    trials: int,
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(signal powers, per-column interference summands) for marginal checks.
-
-    The summands are the raw |q H(l)|^2 values, before the 1/k_m
-    weighting; each is claimed to have unit mean.
-    """
-    results, _ = _link_blocks(
-        config, alloc, link, trials, seed, workers=1, keep_summands=True
-    )
-    signal = np.concatenate([r[0] for r in results])
-    summands = np.concatenate([r[2] for r in results])
-    return signal, summands
 
 
 def empirical_outage(
@@ -435,8 +406,7 @@ def direct_sir_samples(
     workers: int = 1,
 ) -> np.ndarray:
     """SIR samples from the marginal model (no matrices involved)."""
-    others = _check_direct_args(num_antennas, k_self, k_others)
-    results = _direct_blocks(num_antennas, k_self, others, trials, seed, workers)
+    results = _direct_blocks(num_antennas, k_self, k_others, trials, seed, workers)
     return np.concatenate(
         [(signal / k_self) / interference for signal, interference in results]
     )
@@ -453,28 +423,7 @@ def direct_distribution_outage(
     workers: int = 1,
 ) -> MonteCarloEstimate:
     """Second oracle: P(SIR >= beta) under the direct marginal model."""
-    others = _check_direct_args(num_antennas, k_self, k_others)
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise DomainError(f"beta must be finite and > 0, got {beta!r}")
-    results = _direct_blocks(num_antennas, k_self, others, trials, seed, workers)
+    check_positive("beta", beta)
+    results = _direct_blocks(num_antennas, k_self, k_others, trials, seed, workers)
     return _estimate(results, k_self, beta, trials, 0)
 
-
-def _check_direct_args(
-    num_antennas: int, k_self: int, k_others: Sequence[int]
-) -> tuple[int, ...]:
-    if not (isinstance(num_antennas, int) and num_antennas >= 1):
-        raise DomainError(f"num_antennas must be an int >= 1, got {num_antennas!r}")
-    if not (isinstance(k_self, int) and 1 <= k_self <= num_antennas):
-        raise DomainError(
-            f"k_self must be an int in [1, {num_antennas}], got {k_self!r}"
-        )
-    others = tuple(int(k) for k in k_others)
-    if not others:
-        raise DomainError("k_others must name at least one interferer")
-    for k in others:
-        if not 1 <= k <= num_antennas:
-            raise DomainError(
-                f"k_others entries must lie in [1, {num_antennas}], got {k}"
-            )
-    return others

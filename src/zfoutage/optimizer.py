@@ -18,13 +18,14 @@ from .analytic import (
     link_success_prob,
     min_links_single_stream,
     success_prob_equal_k,
-    sum_capacity_analytic,
 )
 from .core import (
     DomainError,
     SearchBudgetError,
     StreamAllocation,
     SystemConfig,
+    check_int,
+    check_positive,
 )
 from .montecarlo import empirical_link_success
 
@@ -59,11 +60,14 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Empirical single-stream threshold with the analytic bound beside it."""
+    """Empirical single-stream threshold with the analytic bound beside it.
+
+    ``analytic`` is None when the analytic bound N* exceeds 2**53.
+    """
 
     threshold: int
     window: int
-    analytic: NStarResult
+    analytic: NStarResult | None
 
 
 def _check_objective(objective: str, trials, seed) -> None:
@@ -99,12 +103,25 @@ def _sum_capacity(
     seed,
     workers: int,
 ) -> float:
-    if objective == "analytic":
-        return sum_capacity_analytic(config, alloc).sum_capacity
+    # The per-link values and their exact sum are those of an OutageReport.
     return math.fsum(
-        _link_capacity(config, alloc, link, "montecarlo", trials, seed, workers)
+        _link_capacity(config, alloc, link, objective, trials, seed, workers)
         for link in range(config.num_links)
     )
+
+
+def _first_max(candidates, value):
+    """The candidate with the largest ``value(candidate)``.
+
+    Only a strict improvement replaces the incumbent, so ties go to the
+    first candidate.
+    """
+    best, best_value = None, -math.inf
+    for candidate in candidates:
+        candidate_value = value(candidate)
+        if candidate_value > best_value:
+            best, best_value = candidate, candidate_value
+    return best
 
 
 def best_response(
@@ -125,22 +142,15 @@ def best_response(
     candidate (common random numbers).
     """
     alloc.validate_against(config)
-    if not 0 <= link_index < config.num_links:
-        raise DomainError(
-            f"link index {link_index} out of range for {config.num_links} links"
-        )
+    check_int("link index", link_index, 0, config.num_links - 1)
     _check_objective(objective, trials, seed)
-    best_k = 0
-    best_value = -math.inf
-    for k in range(1, config.num_antennas + 1):
-        candidate = alloc.replace(link_index, k)
-        value = _link_capacity(
-            config, candidate, link_index, objective, trials, seed, workers
-        )
-        if value > best_value:
-            best_k = k
-            best_value = value
-    return best_k
+    return _first_max(
+        range(1, config.num_antennas + 1),
+        lambda k: _link_capacity(
+            config, alloc.replace(link_index, k), link_index, objective,
+            trials, seed, workers,
+        ),
+    )
 
 
 def maximize_sum_capacity(
@@ -176,26 +186,22 @@ def maximize_sum_capacity(
             raise SearchBudgetError(
                 f"exhaustive search needs {total} evaluations, budget is {budget}"
             )
-        table: dict[tuple[int, ...], float] = {}
-        best_alloc = None
-        best_value = -math.inf
-        for streams in product(range(1, m + 1), repeat=n):
-            alloc = StreamAllocation(streams)
-            value = _sum_capacity(config, alloc, objective, trials, seed, workers)
-            table[streams] = value
-            if value > best_value:
-                best_alloc = alloc
-                best_value = value
+        table = {
+            streams: _sum_capacity(
+                config, StreamAllocation(streams), objective, trials, seed, workers
+            )
+            for streams in product(range(1, m + 1), repeat=n)
+        }
+        best = _first_max(table, table.get)
         return SearchResult(
-            best_allocation=best_alloc,
-            best_value=best_value,
+            best_allocation=StreamAllocation(best),
+            best_value=table[best],
             evaluations=total,
             per_candidate_values=table,
         )
 
     if mode == "coordinate":
-        if max_sweeps < 1:
-            raise DomainError(f"max_sweeps must be >= 1, got {max_sweeps!r}")
+        check_int("max_sweeps", max_sweeps, 1)
         alloc = StreamAllocation.uniform(n, 1)
         evaluations = 0
         fixed_point = False
@@ -250,43 +256,33 @@ def empirical_threshold(
     best_response = 1 holds for N and the next ``window`` consecutive
     link counts, guarding against non-monotone crossings.  The analytic
     sufficient bound is computed alongside for comparison; ``cap`` does
-    not apply to it.  Raises SearchBudgetError when no such N <= cap
-    exists.
+    not apply to it, and it is None past 2**53.  Raises
+    SearchBudgetError when no such N <= cap exists.
     """
-    if not (isinstance(num_antennas, int) and num_antennas >= 1):
-        raise DomainError(f"num_antennas must be an int >= 1, got {num_antennas!r}")
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise DomainError(f"beta must be finite and > 0, got {beta!r}")
-    if not (isinstance(k_other, int) and 1 <= k_other <= num_antennas):
-        raise DomainError(
-            f"k_other must be an int in [1, {num_antennas}], got {k_other!r}"
-        )
-    if window < 0:
-        raise DomainError(f"window must be >= 0, got {window!r}")
+    num_antennas = check_int("num_antennas", num_antennas, 1)
+    check_positive("beta", beta)
+    k_other = check_int("k_other", k_other, 1, num_antennas)
+    window = check_int("window", window, 0)
+    cap = check_int("cap", cap, 2)
 
-    def single_stream_best(n: int) -> bool:
-        best_k = 0
-        best_value = -math.inf
-        for k in range(1, num_antennas + 1):
-            value = k * success_prob_equal_k(num_antennas, n, k, k_other, beta)
-            if value > best_value:
-                best_k = k
-                best_value = value
-        return best_k == 1
-
+    streams = range(1, num_antennas + 1)
     run_start = None
     for n in range(2, cap + window + 1):
-        if single_stream_best(n):
+        best_k = _first_max(
+            streams,
+            lambda k: k * success_prob_equal_k(num_antennas, n, k, k_other, beta),
+        )
+        if best_k == 1:
             if run_start is None:
                 run_start = n
             if n - run_start >= window and run_start <= cap:
-                return ThresholdResult(
-                    threshold=run_start,
-                    window=window,
-                    analytic=min_links_single_stream(
+                try:
+                    bound = min_links_single_stream(
                         num_antennas, beta, k_other, cap=_ANALYTIC_CAP
-                    ),
-                )
+                    )
+                except SearchBudgetError:
+                    bound = None
+                return ThresholdResult(run_start, window, bound)
         else:
             run_start = None
     raise SearchBudgetError(

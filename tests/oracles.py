@@ -6,9 +6,11 @@ from scipy's regularized incomplete gamma or direct series summation,
 success probabilities from adaptive quadrature over the interference
 density, and the SIR of one trial from an explicit per-trial
 zero-forcing vector (SVD of the excluded columns) instead of the batched
-QR kernel.  Expected values in the test suite are either hand-derivable
-constants or outputs of these oracles; none are copied from the
-implementation under test.
+QR kernel.  The one thing shared with the package is its random
+streams: ``link_power_samples`` replays the full-channel sampler's draws
+so its marginals describe the very trials the sampler scores.  Expected
+values in the test suite are either hand-derivable constants or outputs
+of these oracles; none are copied from the implementation under test.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 import scipy.special
 from scipy.integrate import quad
 
+from zfoutage import montecarlo
 from zfoutage.core import (
     DomainError,
     NumericalError,
@@ -310,3 +313,38 @@ def stream_sir(channels: ChannelSet, link: int, stream: int) -> SirSample:
         k_self=k_self,
         sir=(signal / k_self) / interference,
     )
+
+
+def link_power_samples(
+    config: SystemConfig, alloc: StreamAllocation, link: int, trials: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(signal powers, per-column interference summands) of stream 1 of a link.
+
+    Replays the full-channel sampler's draws block by block, in its order
+    (every interference column first, then the self matrix), and nulls
+    them with a batched pseudo-inverse instead of the sampler's QR.  The
+    summands are the raw |q H(l)|^2 values, before the 1/k_m weighting;
+    each is claimed to have unit mean.  A degenerate draw, which the
+    sampler would resample, raises NumericalError.
+    """
+    alloc.validate_against(config)
+    m, k_self = config.num_antennas, alloc.streams[link]
+    k_int = sum(alloc.others(link))
+    step = montecarlo.BLOCK_TRIALS
+    signals, summands = [], []
+    for block, start in enumerate(range(0, trials, step)):
+        size = min(step, trials - start)
+        rng = montecarlo._block_rng(seed, montecarlo._PURPOSE_LINK, link, block)
+        h_int = montecarlo._complex_normal(rng, (size, m, k_int))
+        h_self = montecarlo._complex_normal(rng, (size, m, k_self))
+        target = h_self[:, :, :1]
+        if k_self > 1:
+            excluded = h_self[:, :, 1:]
+            target = target - excluded @ (np.linalg.pinv(excluded) @ target)
+        signal = np.sum(np.abs(target[:, :, 0]) ** 2, axis=1)
+        if np.any(signal == 0.0):
+            raise NumericalError("a draw leaves no signal after nulling")
+        q = target.conj().transpose(0, 2, 1) / np.sqrt(signal)[:, None, None]
+        signals.append(signal)
+        summands.append(np.abs((q @ h_int)[:, 0, :]) ** 2)
+    return np.concatenate(signals), np.concatenate(summands)

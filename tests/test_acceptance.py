@@ -12,7 +12,7 @@ import pytest
 from scipy import stats
 
 from conftest import criterion
-from oracles import equal_k_success_quad, shifted_equal_k_series
+from oracles import equal_k_success_quad, link_power_samples, shifted_equal_k_series
 from zfoutage.analytic import (
     min_links_single_stream,
     success_prob_equal_k,
@@ -25,7 +25,6 @@ from zfoutage.montecarlo import (
     direct_sir_samples,
     empirical_link_success,
     empirical_outage,
-    link_power_samples,
     link_sir_samples,
     link_success_sweep,
 )

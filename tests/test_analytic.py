@@ -14,7 +14,6 @@ from oracles import (
 from zfoutage.analytic import (
     NStarResult,
     gamma_approx_params,
-    link_capacity_equal_k,
     link_success_prob,
     min_links_single_stream,
     success_prob_equal_k,
@@ -117,6 +116,8 @@ class TestEqualKSuccess:
             success_prob_equal_k(2, 2, 1, 0, 1.0)
         with pytest.raises(DomainError):
             success_prob_equal_k(2, 2, 1, 1, 0.0)
+        with pytest.raises(DomainError):
+            success_prob_equal_k(True, 2, 1, 1, 1.0)
 
 
 class TestGammaApprox:
@@ -259,7 +260,10 @@ class TestMinLinks:
             for beta in (1.0, 2.0, 4.0):
                 n_star = min_links_single_stream(m, beta).n_star
                 cfg = SystemConfig(n_star, m, beta, rate=1.0)
-                values = [link_capacity_equal_k(cfg, k, k) for k in range(1, m + 1)]
+                values = [
+                    cfg.rate * k * success_prob_equal_k(m, n_star, k, k, beta)
+                    for k in range(1, m + 1)
+                ]
                 assert max(range(m), key=values.__getitem__) == 0
 
     def test_validation(self):
@@ -269,6 +273,8 @@ class TestMinLinks:
             min_links_single_stream(2, -1.0)
         with pytest.raises(DomainError):
             min_links_single_stream(2, 1.0, k_other=0)
+        with pytest.raises(DomainError):
+            min_links_single_stream(True, 1.0)
 
 
 class TestLinkDispatch:

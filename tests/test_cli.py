@@ -304,6 +304,24 @@ class TestNstarCommand:
         assert record["analytic_n_star"] == "1220629"
         assert record["empirical_threshold"] == "2"
 
+    def test_analytic_bound_beyond_double_range(self, capsys):
+        # N* passes 2**53 here, so there is no analytic bound to print; the
+        # empirical threshold still is one, and its cells are filled.
+        argv = ("nstar", "--antennas", "1", "--beta", "1e-15")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        _, columns, rows = parse_csv(out)
+        assert dict(zip(columns, rows[0])) == {
+            "analytic_n_star": "",
+            "binding_p": "",
+            "empirical_threshold": "2",
+            "analytic_ratio": "",
+            "empirical_ratio": "2.0",
+        }
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)["rows"] == [[None, None, 2, None, 2.0]]
+
 
 class TestOptimizeCommand:
     def test_exhaustive_table(self, capsys):

@@ -174,10 +174,15 @@ class TestStreamAllocation:
         with pytest.raises(DomainError):
             StreamAllocation((1, 3, 1)).validate_against(cfg)
 
-    @pytest.mark.parametrize("streams", [(1,), (0, 1), (-1, 2)])
+    @pytest.mark.parametrize("streams", [(1,), (0, 1), (-1, 2), (1.7, 2), (True, 2)])
     def test_invalid(self, streams):
         with pytest.raises(DomainError):
             StreamAllocation(streams)
+
+    def test_numpy_integers_stored_as_int(self):
+        alloc = StreamAllocation(tuple(np.arange(1, 4)))
+        assert alloc.streams == (1, 2, 3)
+        assert all(type(k) is int for k in alloc.streams)
 
 
 class TestGammaParams:

@@ -15,6 +15,7 @@ from oracles import (
     RankDeficiencyError,
     SirSample,
     ZfVector,
+    link_power_samples,
     sample_channel,
     stream_sir,
     zf_nulling_vector,
@@ -29,7 +30,6 @@ from zfoutage.montecarlo import (
     direct_sir_samples,
     empirical_link_success,
     empirical_outage,
-    link_power_samples,
     link_sir_samples,
     link_success_sweep,
 )
@@ -238,8 +238,8 @@ class TestKernelMatchesReference:
         # same draws, must agree on every trial's signal and interference.
         m, seed, block, size = 4, 1234, 1, 64
         config = SystemConfig(len(streams), m, 1.0)
-        signal, interference, _, resampled = montecarlo._link_block(
-            config, StreamAllocation(streams), link, seed, block, size, False
+        signal, interference, resampled = montecarlo._link_block(
+            config, StreamAllocation(streams), link, seed, block, size
         )
         assert resampled == 0
         # Rebuild the block's draws in the kernel's order: every
@@ -261,6 +261,24 @@ class TestKernelMatchesReference:
             np.testing.assert_allclose(
                 interference[t], ref.interference_power, rtol=1e-10
             )
+
+    @pytest.mark.parametrize(
+        "streams, link",
+        [((1, 2, 3), 0), ((2, 1, 3, 1), 0), ((4, 2, 1), 0), ((3, 1, 4, 2), 2)],
+    )
+    def test_power_oracle_replays_sir_samples(self, streams, link):
+        # The oracle's marginals describe the sampler's own trials: over
+        # three blocks its powers rebuild link_sir_samples on the same seed.
+        config = SystemConfig(len(streams), 4, 1.0)
+        alloc = StreamAllocation(streams)
+        trials = 2 * BLOCK_TRIALS + 100
+        signal, summands = link_power_samples(config, alloc, link, trials, 5)
+        weights = np.concatenate([np.full(k, 1.0 / k) for k in alloc.others(link)])
+        np.testing.assert_allclose(
+            (signal / streams[link]) / (summands @ weights),
+            link_sir_samples(config, alloc, link, trials, 5),
+            rtol=1e-9,
+        )
 
 
 class TestEstimatorDeterminism:
@@ -403,6 +421,19 @@ _SAMPLERS = {
     ),
     "direct_samples": lambda trials, seed: direct_sir_samples(2, 1, [1], trials, seed),
 }
+
+
+class TestDirectArguments:
+    @pytest.mark.parametrize(
+        "num_antennas, k_others",
+        [(4, [1.7, 2]), (True, [1])],
+        ids=["k_others_float", "antennas_true"],
+    )
+    def test_invalid(self, num_antennas, k_others):
+        with pytest.raises(DomainError):
+            direct_sir_samples(num_antennas, 1, k_others, 100, 0)
+        with pytest.raises(DomainError):
+            direct_distribution_outage(num_antennas, 1, k_others, 1.0, 100, 0)
 
 
 class TestTrialAndSeedArguments:

@@ -228,3 +228,25 @@ class TestEmpiricalThreshold:
             empirical_threshold(3, 1.0, k_other=4)
         with pytest.raises(DomainError):
             empirical_threshold(3, 1.0, window=-1)
+        with pytest.raises(DomainError):
+            empirical_threshold(3, 1.0, window=1.5)
+        with pytest.raises(DomainError):
+            empirical_threshold(3, 1.0, cap=1.5)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_threshold_agrees_with_best_response(self, m):
+        # empirical_threshold and best_response pick the best stream count
+        # by one rule, so the threshold is where best_response turns to 1
+        # on a uniform allocation and stays there for the window.
+        for beta in (0.25, 1.0, 4.0):
+            for k_other in range(1, min(m, 2) + 1):
+                res = empirical_threshold(m, beta, k_other)
+
+                def best(n):
+                    alloc = StreamAllocation.uniform(n, k_other)
+                    return best_response(SystemConfig(n, m, beta), alloc, 0)
+
+                t = res.threshold
+                assert all(best(n) == 1 for n in range(t, t + res.window + 1))
+                if t > 2:
+                    assert best(t - 1) != 1
