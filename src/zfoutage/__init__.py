@@ -47,6 +47,7 @@ from .montecarlo import (
     empirical_outage,
     link_sir_samples,
     link_success_sweep,
+    link_success_table,
 )
 from .optimizer import (
     SearchResult,
@@ -84,6 +85,7 @@ __all__ = [
     "link_sir_samples",
     "link_success_prob",
     "link_success_sweep",
+    "link_success_table",
     "maximize_sum_capacity",
     "min_links_single_stream",
     "reset_clamp_count",

@@ -30,10 +30,13 @@ from typing import Sequence
 from . import analytic, montecarlo, optimizer
 from .core import (
     DomainError,
+    OutageReport,
     SearchBudgetError,
     StreamAllocation,
     SystemConfig,
     ZfOutageError,
+    check_int,
+    check_positive,
     clamp_count,
     reset_clamp_count,
 )
@@ -52,7 +55,7 @@ _DEFAULTS = {
     "backend": "analytic",
     "trials": 100_000,
     "seed": 0,
-    "workers": 1,
+    "workers": None,  # every CPU
     "out": None,
     "format": "csv",
     "k_other": 1,
@@ -197,8 +200,7 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
 
     rate_to_beta = merged.pop("rate_to_beta", None)
     if rate_to_beta is not None:
-        if not rate_to_beta > 0.0:
-            raise DomainError(f"rate_to_beta must be > 0, got {rate_to_beta!r}")
+        check_positive("rate_to_beta", rate_to_beta)
         try:
             merged["beta"] = 2.0**rate_to_beta - 1.0
         except OverflowError:
@@ -212,16 +214,12 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
         for key in ("links", "antennas"):
             if merged.get(key) is None:
                 raise DomainError(f"{key} is required (flag --{key} or config file)")
-    if merged["workers"] < 1:
-        raise DomainError(f"workers must be >= 1, got {merged['workers']}")
+    if merged["workers"] is not None:
+        check_int("workers", merged["workers"], 1)
     if merged["alloc"] is not None and merged["alloc_sweep"]:
         raise DomainError("alloc and alloc_sweep are mutually exclusive")
     if merged["backend"] != "analytic":
-        trials = merged["trials"]
-        if trials < 1_000:
-            raise DomainError(
-                f"trials must be >= 1000 for Monte Carlo backends, got {trials}"
-            )
+        trials = check_int("trials", merged["trials"], 1_000)
         if trials < 100_000:
             print(
                 f"warning: {trials} trials is below 100000; "
@@ -309,31 +307,47 @@ def _join(row: dict, cells: dict, suffixes: tuple, abs_diff: bool) -> dict:
 
 
 def _reports(
-    run: argparse.Namespace, config: SystemConfig, alloc: StreamAllocation
-) -> dict:
-    """Outage report of each backend the run uses, analytic first."""
-    reports = {}
+    run: argparse.Namespace, config: SystemConfig, allocs: list[StreamAllocation]
+) -> list[dict]:
+    """Per allocation, {backend: outage report} for the run's backends.
+
+    Analytic comes first.  The Monte Carlo reports are built from one
+    link_success_table per link, so the allocations share their draws.
+    """
+    backends = {}
     if run.backend != "mc":
-        reports["analytic"] = analytic.sum_capacity_analytic(config, alloc)
+        backends["analytic"] = [
+            analytic.sum_capacity_analytic(config, alloc) for alloc in allocs
+        ]
     if run.backend != "analytic":
-        reports["mc"] = montecarlo.empirical_outage(
-            config, alloc, run.trials, run.seed, workers=run.workers
-        )
-    return reports
+        tables = [
+            montecarlo.link_success_table(
+                config, allocs, link, run.trials, run.seed, workers=run.workers
+            )
+            for link in range(config.num_links)
+        ]
+        backends["mc"] = [
+            OutageReport.from_estimates(config, alloc, estimates)
+            for alloc, estimates in zip(allocs, zip(*tables))
+        ]
+    return [dict(zip(backends, reports)) for reports in zip(*backends.values())]
 
 
 def _allocation_sweep(
     run: argparse.Namespace, config: SystemConfig, suffixes: tuple, abs_diff: bool
 ) -> list[dict]:
     """One row of sum capacities per allocation, in lexicographic order."""
+    allocs = [
+        StreamAllocation(streams)
+        for streams in product(range(1, run.antennas + 1), repeat=run.links)
+    ]
     rows = []
-    for streams in product(range(1, run.antennas + 1), repeat=run.links):
-        reports = _reports(run, config, StreamAllocation(streams))
+    for alloc, reports in zip(allocs, _reports(run, config, allocs)):
         cells = {
             backend: {"sum_capacity": report.sum_capacity}
             for backend, report in reports.items()
         }
-        rows.append(_join(_k_columns(streams), cells, suffixes, abs_diff))
+        rows.append(_join(_k_columns(alloc.streams), cells, suffixes, abs_diff))
     return rows
 
 
@@ -355,7 +369,7 @@ def cmd_capacity(run: argparse.Namespace) -> int:
     alloc = StreamAllocation(streams)
     alloc.validate_against(config)
     stamp["alloc"] = ",".join(str(k) for k in alloc.streams)
-    reports = _reports(run, config, alloc)
+    [reports] = _reports(run, config, [alloc])
     # With both backends the table compares per-link values side by side;
     # the sum capacity appears only in a single-backend table.
     both = len(reports) == 2
@@ -398,18 +412,25 @@ def cmd_figure(run: argparse.Namespace) -> int:
     for value in values:
         links, beta = (value, run.beta) if column == "links" else (run.links, value)
         config = SystemConfig(links, run.antennas, beta, run.rate)
-        for k1 in range(1, run.antennas + 1):
+        k1_values = range(1, run.antennas + 1)
+        if run.backend != "analytic":
+            # Only link 0's estimates are printed, so only link 0 is
+            # simulated, in one table over k1.
+            estimates = montecarlo.link_success_table(
+                config,
+                [StreamAllocation((k1,) + (1,) * (links - 1)) for k1 in k1_values],
+                0,
+                run.trials,
+                run.seed,
+                workers=run.workers,
+            )
+        for k1 in k1_values:
             cells = {}
             if run.backend != "mc":
                 p = analytic.success_prob_equal_k(run.antennas, links, k1, 1, beta)
                 cells["analytic"] = _cells(p, run.rate * k1 * p)
             if run.backend != "analytic":
-                # Only link 0's estimate is printed, so only link 0 is
-                # simulated (empirical_outage would simulate every link).
-                alloc = StreamAllocation((k1,) + (1,) * (links - 1))
-                est = montecarlo.empirical_link_success(
-                    config, alloc, 0, run.trials, run.seed, workers=run.workers
-                )
+                est = estimates[k1 - 1]
                 cells["mc"] = _cells(est.prob, run.rate * k1 * est.prob, est.std_error)
             rows.append(_join({column: value, "k1": k1}, cells, _FIGURE, False))
     _emit(run, stamp, rows)
@@ -473,8 +494,7 @@ def cmd_optimize(run: argparse.Namespace) -> int:
 def cmd_validate(run: argparse.Namespace) -> int:
     """Cross-backend agreement suite; prints one PASS/FAIL line per check."""
     trials, seed, workers = run.trials, run.seed, run.workers
-    if trials < 1_000:
-        raise DomainError(f"validate needs trials >= 1000, got {trials}")
+    check_int("trials", trials, 1_000)
     reset_clamp_count()
     lines: list[str] = []
     failures = 0
@@ -579,7 +599,9 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--trials", type=int, help="Monte Carlo trials per estimate")
     parser.add_argument("--seed", type=int, help="Monte Carlo seed (default 0)")
-    parser.add_argument("--workers", type=int, help="parallel workers (default 1)")
+    parser.add_argument(
+        "--workers", type=int, help="parallel workers (default: every CPU)"
+    )
     parser.add_argument("--out", help="output path (default stdout)")
     parser.add_argument("--format", choices=_FORMATS, help="output format")
 

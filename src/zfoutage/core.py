@@ -314,3 +314,21 @@ class OutageReport:
             resampled=resampled,
             small_sample=(trials is not None and trials < SMALL_SAMPLE_FLOOR),
         )
+
+    @classmethod
+    def from_estimates(
+        cls, config: SystemConfig, alloc: StreamAllocation, estimates
+    ) -> "OutageReport":
+        """Report of one Monte Carlo run from its per-link estimates.
+
+        Each estimate has ``prob``, ``std_error``, ``trials`` and
+        ``resampled``; all share one trial count.
+        """
+        return cls.from_success(
+            config,
+            alloc,
+            [est.prob for est in estimates],
+            std_error=[est.std_error for est in estimates],
+            trials=estimates[0].trials,
+            resampled=sum(est.resampled for est in estimates),
+        )

@@ -19,6 +19,14 @@ interference draws first means estimates for different k_self candidates
 under one seed share their interference realizations, which is what
 makes common-random-number comparisons between stream counts tight.
 
+Shared draws.  The first interference draw of a block depends only on
+(seed, link, block) and the interference column count k_int, the sum
+of the other links' streams.  link_success_table therefore draws it
+once per (link, k_int, block) for all of its candidates, and restores
+the stream state just after it before each k_self's self draws and
+resamples.  Every candidate then sees exactly the draws of its own
+empirical_link_success call, so its estimate is bitwise the same.
+
 A full-channel trial for link n touches only the matrices arriving at
 receiver n, and those are disjoint from (and independent of) every other
 receiver's, so per-link simulation on separate substreams draws from the
@@ -53,6 +61,7 @@ __all__ = [
     "BLOCK_TRIALS",
     "MonteCarloEstimate",
     "empirical_link_success",
+    "link_success_table",
     "link_success_sweep",
     "link_sir_samples",
     "empirical_outage",
@@ -65,6 +74,10 @@ BLOCK_TRIALS = 8192
 # Relative QR-diagonal floor below which a draw is treated as degenerate
 # and resampled.
 _RANK_TOL = 1e-10
+
+# Most candidates one block task of link_success_table covers, so that a
+# task's arrays stay within a few MB however many candidates a table has.
+_TASK_CANDIDATES = 64
 
 _PURPOSE_LINK = 1
 _PURPOSE_DIRECT = 2
@@ -99,34 +112,62 @@ class MonteCarloEstimate:
         check_int("trials", self.trials, 1)
 
 
+def _column_weights(others: Sequence[int]) -> np.ndarray:
+    """One weight per interference column: 1/k for each of link m's k columns."""
+    return np.concatenate([np.full(k, 1.0 / k) for k in others])
+
+
 def _link_block(
-    config: SystemConfig,
-    alloc: StreamAllocation,
+    num_antennas: int,
     link: int,
+    k_int: int,
+    candidates: Sequence[tuple[int, np.ndarray]],
     seed: int,
     block: int,
     size: int,
 ):
-    """Simulate `size` stream-1 trials for one link on one block stream.
+    """Simulate `size` stream-1 trials of one link per candidate, on one block stream.
 
-    Returns (signal, interference, resampled).
+    A candidate is (k_self, column weights), its weights of length k_int.
+    The first interference draw is made once.  Each k_self restarts the
+    stream just after it, so its self draws and resamples are those of a
+    call with that k_self alone.  Candidates with the same k_self share
+    every draw and differ only in their weighted interference sum.
+
+    Yields (candidate index, signal, interference, resampled) for every
+    candidate, one k_self at a time, so a caller that reduces each as it
+    comes holds one k_self's arrays at once.
     """
     rng = _block_rng(seed, _PURPOSE_LINK, link, block)
-    m = config.num_antennas
-    k_self = alloc.streams[link]
-    others = alloc.others(link)
-    col_weights = np.concatenate(
-        [np.full(k, 1.0 / k) for k in others]
-    )  # one weight per interference column
-    k_int = col_weights.size
+    h_int = _complex_normal(rng, (size, num_antennas, k_int))
+    after_h_int = rng.bit_generator.state
+    for k_self in dict.fromkeys(k for k, _ in candidates):
+        mine = [i for i, (k, _) in enumerate(candidates) if k == k_self]
+        rng.bit_generator.state = after_h_int
+        signal, interference, resampled = _zf_trials(
+            rng, h_int, k_self, [candidates[i][1] for i in mine]
+        )
+        for i, arr in zip(mine, interference):
+            yield i, signal, arr, resampled
 
+
+def _zf_trials(rng: np.random.Generator, h_int: np.ndarray, k_self: int, weights):
+    """One k_self's trials on the interference draw ``h_int``, rng just after it.
+
+    Returns (signal, [interference per weight vector], resampled).  A
+    degenerate self draw is resampled together with fresh interference.
+    The block's largest arrays live here, so they are freed before the
+    next k_self starts.
+    """
+    size, m, k_int = h_int.shape
     signal = np.empty(size)
-    interference = np.empty(size)
+    interference = [np.empty(size) for _ in weights]
     pending = np.arange(size)
     resampled = 0
     while pending.size:
         b = pending.size
-        h_int = _complex_normal(rng, (b, m, k_int))
+        if h_int is None:
+            h_int = _complex_normal(rng, (b, m, k_int))
         h_self = _complex_normal(rng, (b, m, k_self))
         target = h_self[:, :, 0]
         if k_self == 1:
@@ -149,10 +190,36 @@ def _link_block(
         z = np.einsum("bm,bmk->bk", q, h_int[good])
         powers = (z.real * z.real + z.imag * z.imag)
         signal[rows] = s[good]
-        interference[rows] = powers @ col_weights
+        for arr, w in zip(interference, weights):
+            arr[rows] = powers @ w
         pending = pending[bad]
         resampled += int(bad.sum())
+        h_int = None
     return signal, interference, resampled
+
+
+def _hits(signal, interference, k_self: int, beta: float) -> int:
+    """Trials whose stream-1 SIR, (signal / k_self) / interference, clears beta."""
+    return int(np.count_nonzero(signal / k_self >= beta * interference))
+
+
+def _link_block_hits(num_antennas, link, k_int, candidates, betas, seed, block, size):
+    """_link_block reduced to ([hits per threshold], resampled) per candidate."""
+    out = [None] * len(candidates)
+    for i, signal, interference, resampled in _link_block(
+        num_antennas, link, k_int, candidates, seed, block, size
+    ):
+        k_self = candidates[i][0]
+        out[i] = ([_hits(signal, interference, k_self, b) for b in betas], resampled)
+    return out
+
+
+def _link_block_sir(num_antennas, link, k_int, candidates, seed, block, size):
+    """(SIR samples, resampled) of _link_block's one candidate."""
+    [(_, signal, interference, resampled)] = _link_block(
+        num_antennas, link, k_int, candidates, seed, block, size
+    )
+    return (signal / candidates[0][0]) / interference, resampled
 
 
 def _direct_block(
@@ -243,39 +310,29 @@ def _run_tasks(task_fn, args_list, workers: int) -> list:
     return results
 
 
-def _check_mc_args(trials: int, seed: int, workers: int) -> None:
-    check_int("trials", trials, 1)
-    check_int("seed", seed, 0, 2**128 - 1)  # Philox takes a 128-bit key.
-    check_int("workers", workers, 1)
+def _check_mc_args(trials, seed, workers) -> tuple[int, int, int]:
+    """(trials, seed, workers) as ints; workers=None means every CPU."""
+    return (
+        check_int("trials", trials, 1),
+        check_int("seed", seed, 0, 2**128 - 1),  # Philox takes a 128-bit key.
+        os.cpu_count() or 1 if workers is None else check_int("workers", workers, 1),
+    )
 
 
-def _resample_budget(trials: int) -> int:
-    return max(1, trials // 10_000)
-
-
-def _link_blocks(
-    config: SystemConfig,
-    alloc: StreamAllocation,
-    link: int,
-    trials: int,
-    seed: int,
-    workers: int,
-):
-    alloc.validate_against(config)
-    check_int("link index", link, 0, config.num_links - 1)
-    _check_mc_args(trials, seed, workers)
-    args = [
-        (config, alloc, link, seed, block, size)
-        for block, size in enumerate(_block_sizes(trials))
-    ]
-    results = _run_tasks(_link_block, args, workers)
-    resampled = sum(r[2] for r in results)
-    if resampled > _resample_budget(trials):
+def _check_resamples(resampled: int, trials: int) -> None:
+    if resampled > max(1, trials // 10_000):
         raise NumericalError(
             f"{resampled} degenerate draws in {trials} trials "
             "(exceeds the 0.01% resampling budget)"
         )
-    return results, resampled
+
+
+def _check_link_args(config: SystemConfig, allocs, link, trials, seed, workers):
+    """Validated (link, trials, seed, workers) of a full-channel call."""
+    for alloc in allocs:
+        alloc.validate_against(config)
+    link = check_int("link index", link, 0, config.num_links - 1)
+    return (link, *_check_mc_args(trials, seed, workers))
 
 
 def _direct_blocks(
@@ -284,28 +341,23 @@ def _direct_blocks(
     k_others: Sequence[int],
     trials: int,
     seed: int,
-    workers: int,
+    workers: int | None,
 ):
+    """(trials as an int, block results) of a direct-sampler call."""
     num_antennas = check_int("num_antennas", num_antennas, 1)
     check_int("k_self", k_self, 1, num_antennas)
     others = tuple(check_int("k_others entry", k, 1, num_antennas) for k in k_others)
     if not others:
         raise DomainError("k_others must name at least one interferer")
-    _check_mc_args(trials, seed, workers)
+    trials, seed, workers = _check_mc_args(trials, seed, workers)
     args = [
         (num_antennas, k_self, others, seed, block, size)
         for block, size in enumerate(_block_sizes(trials))
     ]
-    return _run_tasks(_direct_block, args, workers)
+    return trials, _run_tasks(_direct_block, args, workers)
 
 
-def _estimate(
-    results, k_self: int, beta: float, trials: int, resampled: int
-) -> MonteCarloEstimate:
-    """Success estimate over block results (signal, interference, ...)."""
-    hits = 0
-    for signal, interference, *_ in results:
-        hits += int(np.count_nonzero(signal / k_self >= beta * interference))
+def _estimate(hits: int, trials: int, resampled: int) -> MonteCarloEstimate:
     p = hits / trials
     return MonteCarloEstimate(
         prob=p,
@@ -315,6 +367,77 @@ def _estimate(
     )
 
 
+def _link_estimates(
+    config: SystemConfig,
+    allocs: Sequence[StreamAllocation],
+    link: int,
+    betas: Sequence[float],
+    trials: int,
+    seed: int,
+    workers: int | None,
+) -> list[list[MonteCarloEstimate]]:
+    """Per allocation, one full-channel estimate per threshold.
+
+    Distinct (k_self, others) candidates are grouped by k_int, and each
+    group runs in block tasks of at most _TASK_CANDIDATES candidates.
+    All tasks go to the pool in one call.
+    """
+    link, trials, seed, workers = _check_link_args(
+        config, allocs, link, trials, seed, workers
+    )
+    keys = [(alloc.streams[link], alloc.others(link)) for alloc in allocs]
+    groups: dict[int, list] = {}
+    for key in dict.fromkeys(keys):
+        groups.setdefault(sum(key[1]), []).append(key)
+    tasks, owners = [], []
+    for k_int, group in groups.items():
+        for i in range(0, len(group), _TASK_CANDIDATES):
+            chunk = group[i : i + _TASK_CANDIDATES]
+            candidates = tuple((k, _column_weights(others)) for k, others in chunk)
+            for block, size in enumerate(_block_sizes(trials)):
+                tasks.append(
+                    (config.num_antennas, link, k_int, candidates, betas, seed,
+                     block, size)
+                )
+                owners.append(chunk)
+
+    hits = {key: [0] * len(betas) for key in dict.fromkeys(keys)}
+    resampled = dict.fromkeys(hits, 0)
+    for chunk, result in zip(owners, _run_tasks(_link_block_hits, tasks, workers)):
+        for key, (counts, r) in zip(chunk, result):
+            hits[key] = [a + b for a, b in zip(hits[key], counts)]
+            resampled[key] += r
+    out = []
+    for key in keys:
+        _check_resamples(resampled[key], trials)
+        out.append([_estimate(h, trials, resampled[key]) for h in hits[key]])
+    return out
+
+
+def link_success_table(
+    config: SystemConfig,
+    allocs: Sequence[StreamAllocation],
+    link: int,
+    trials: int,
+    seed: int,
+    *,
+    workers: int | None = None,
+) -> list[MonteCarloEstimate]:
+    """One estimate of P(SIR_1 >= beta) on ``link`` per allocation.
+
+    Entry i is bitwise equal to empirical_link_success(config, allocs[i],
+    link, trials, seed), resample count included, and so is the
+    NumericalError of the first allocation over the resampling budget.
+    Allocations whose other links carry the same number of streams share
+    their interference draws, so the table costs much less than one call
+    per allocation.  ``workers=None`` runs on every CPU.
+    """
+    rows = _link_estimates(
+        config, list(allocs), link, (config.sir_threshold,), trials, seed, workers
+    )
+    return [est for [est] in rows]
+
+
 def empirical_link_success(
     config: SystemConfig,
     alloc: StreamAllocation,
@@ -322,13 +445,16 @@ def empirical_link_success(
     trials: int,
     seed: int,
     *,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> MonteCarloEstimate:
-    """Estimate P(SIR_1 >= beta) for one link from full-channel trials."""
-    results, resampled = _link_blocks(config, alloc, link, trials, seed, workers)
-    return _estimate(
-        results, alloc.streams[link], config.sir_threshold, trials, resampled
+    """Estimate P(SIR_1 >= beta) for one link from full-channel trials.
+
+    ``workers=None`` runs on every CPU.
+    """
+    [[est]] = _link_estimates(
+        config, [alloc], link, (config.sir_threshold,), trials, seed, workers
     )
+    return est
 
 
 def link_success_sweep(
@@ -339,7 +465,7 @@ def link_success_sweep(
     trials: int,
     seed: int,
     *,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> list[MonteCarloEstimate]:
     """Per-threshold estimates from one shared simulation run.
 
@@ -347,12 +473,11 @@ def link_success_sweep(
     empirical_link_success on a config whose sir_threshold is betas[i]
     with everything else equal.
     """
-    betas = [float(check_positive("thresholds", b)) for b in betas]
+    betas = tuple(float(check_positive("thresholds", b)) for b in betas)
     if not betas:
         raise DomainError("betas must be non-empty")
-    results, resampled = _link_blocks(config, alloc, link, trials, seed, workers)
-    k_self = alloc.streams[link]
-    return [_estimate(results, k_self, b, trials, resampled) for b in betas]
+    [row] = _link_estimates(config, [alloc], link, betas, trials, seed, workers)
+    return row
 
 
 def link_sir_samples(
@@ -362,14 +487,21 @@ def link_sir_samples(
     trials: int,
     seed: int,
     *,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> np.ndarray:
     """Raw stream-1 SIR samples for one link, blocks concatenated in order."""
-    results, _ = _link_blocks(config, alloc, link, trials, seed, workers)
-    k_self = alloc.streams[link]
-    return np.concatenate(
-        [(signal / k_self) / interference for signal, interference, _ in results]
+    link, trials, seed, workers = _check_link_args(
+        config, [alloc], link, trials, seed, workers
     )
+    k_self, others = alloc.streams[link], alloc.others(link)
+    candidates = ((k_self, _column_weights(others)),)
+    args = [
+        (config.num_antennas, link, sum(others), candidates, seed, block, size)
+        for block, size in enumerate(_block_sizes(trials))
+    ]
+    results = _run_tasks(_link_block_sir, args, workers)
+    _check_resamples(sum(r for _, r in results), trials)
+    return np.concatenate([sir for sir, _ in results])
 
 
 def empirical_outage(
@@ -378,22 +510,14 @@ def empirical_outage(
     trials: int,
     seed: int,
     *,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> OutageReport:
     """Full-channel Monte Carlo outage report over all links."""
-    probs = []
-    errs = []
-    resampled = 0
-    for link in range(config.num_links):
-        est = empirical_link_success(
-            config, alloc, link, trials, seed, workers=workers
-        )
-        probs.append(est.prob)
-        errs.append(est.std_error)
-        resampled += est.resampled
-    return OutageReport.from_success(
-        config, alloc, probs, std_error=errs, trials=trials, resampled=resampled
-    )
+    estimates = [
+        empirical_link_success(config, alloc, link, trials, seed, workers=workers)
+        for link in range(config.num_links)
+    ]
+    return OutageReport.from_estimates(config, alloc, estimates)
 
 
 def direct_sir_samples(
@@ -403,10 +527,10 @@ def direct_sir_samples(
     trials: int,
     seed: int,
     *,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> np.ndarray:
     """SIR samples from the marginal model (no matrices involved)."""
-    results = _direct_blocks(num_antennas, k_self, k_others, trials, seed, workers)
+    _, results = _direct_blocks(num_antennas, k_self, k_others, trials, seed, workers)
     return np.concatenate(
         [(signal / k_self) / interference for signal, interference in results]
     )
@@ -420,10 +544,14 @@ def direct_distribution_outage(
     trials: int,
     seed: int,
     *,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> MonteCarloEstimate:
     """Second oracle: P(SIR >= beta) under the direct marginal model."""
     check_positive("beta", beta)
-    results = _direct_blocks(num_antennas, k_self, k_others, trials, seed, workers)
-    return _estimate(results, k_self, beta, trials, 0)
-
+    trials, results = _direct_blocks(
+        num_antennas, k_self, k_others, trials, seed, workers
+    )
+    hits = sum(
+        _hits(signal, interference, k_self, beta) for signal, interference in results
+    )
+    return _estimate(hits, trials, 0)

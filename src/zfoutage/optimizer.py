@@ -1,17 +1,18 @@
 """Stream-count decisions: best response, sum-capacity search, N thresholds.
 
 The analytic objective evaluates the closed forms; the montecarlo
-objective re-estimates each candidate with the same seed, so every
+objective estimates each candidate with the same seed, so every
 candidate sees common random numbers and comparisons between stream
 counts are made on shared interference draws rather than independent
-noise.
+noise.  It estimates a link's candidates in one link_success_table
+call, and ``workers=None`` runs it on every CPU.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 from .analytic import (
     NStarResult,
@@ -27,7 +28,9 @@ from .core import (
     check_int,
     check_positive,
 )
-from .montecarlo import empirical_link_success
+# Nothing here calls empirical_link_success.  The name stays bound in
+# this module because perfbench's tracer test rebinds and restores it.
+from .montecarlo import empirical_link_success, link_success_table  # noqa: F401
 
 __all__ = [
     "SearchResult",
@@ -38,6 +41,10 @@ __all__ = [
 ]
 
 _OBJECTIVES = ("analytic", "montecarlo")
+
+# Allocations an exhaustive search evaluates together.  Its per-link
+# columns, and the Monte Carlo tables behind them, hold this many values.
+_SEARCH_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -79,35 +86,43 @@ def _check_objective(objective: str, trials, seed) -> None:
         raise DomainError("montecarlo objective requires trials and seed")
 
 
-def _link_capacity(
+def _link_capacities(
     config: SystemConfig,
-    alloc: StreamAllocation,
+    allocs: list[StreamAllocation],
     link: int,
     objective: str,
     trials,
     seed,
-    workers: int,
-) -> float:
-    k = alloc.streams[link]
+    workers,
+) -> list[float]:
+    """Capacity of ``link`` under each allocation in ``allocs``, in order.
+
+    Monte Carlo estimates come from one link_success_table call, so the
+    allocations share their draws.
+    """
     if objective == "analytic":
-        return config.rate * k * link_success_prob(config, alloc, link)
-    est = empirical_link_success(config, alloc, link, trials, seed, workers=workers)
-    return config.rate * k * est.prob
+        probs = [link_success_prob(config, alloc, link) for alloc in allocs]
+    else:
+        table = link_success_table(config, allocs, link, trials, seed, workers=workers)
+        probs = [est.prob for est in table]
+    return [config.rate * alloc.streams[link] * p for alloc, p in zip(allocs, probs)]
 
 
-def _sum_capacity(
+def _sum_capacities(
     config: SystemConfig,
-    alloc: StreamAllocation,
+    allocs: list[StreamAllocation],
     objective: str,
     trials,
     seed,
-    workers: int,
-) -> float:
+    workers,
+) -> list[float]:
+    """Sum capacity of each allocation in ``allocs``, in order."""
     # The per-link values and their exact sum are those of an OutageReport.
-    return math.fsum(
-        _link_capacity(config, alloc, link, objective, trials, seed, workers)
+    columns = [
+        _link_capacities(config, allocs, link, objective, trials, seed, workers)
         for link in range(config.num_links)
-    )
+    ]
+    return [math.fsum(row) for row in zip(*columns)]
 
 
 def _first_max(candidates, value):
@@ -132,7 +147,7 @@ def best_response(
     *,
     trials: int | None = None,
     seed: int | None = None,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> int:
     """Stream count maximizing one link's own capacity, others held fixed.
 
@@ -144,13 +159,13 @@ def best_response(
     alloc.validate_against(config)
     check_int("link index", link_index, 0, config.num_links - 1)
     _check_objective(objective, trials, seed)
-    return _first_max(
-        range(1, config.num_antennas + 1),
-        lambda k: _link_capacity(
-            config, alloc.replace(link_index, k), link_index, objective,
-            trials, seed, workers,
-        ),
+    streams = range(1, config.num_antennas + 1)
+    candidates = [alloc.replace(link_index, k) for k in streams]
+    capacities = _link_capacities(
+        config, candidates, link_index, objective, trials, seed, workers
     )
+    values = dict(zip(streams, capacities))
+    return _first_max(values, values.get)
 
 
 def maximize_sum_capacity(
@@ -162,7 +177,7 @@ def maximize_sum_capacity(
     max_sweeps: int = 50,
     trials: int | None = None,
     seed: int | None = None,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> SearchResult:
     """Search for the allocation maximizing the sum outage capacity.
 
@@ -186,12 +201,11 @@ def maximize_sum_capacity(
             raise SearchBudgetError(
                 f"exhaustive search needs {total} evaluations, budget is {budget}"
             )
-        table = {
-            streams: _sum_capacity(
-                config, StreamAllocation(streams), objective, trials, seed, workers
-            )
-            for streams in product(range(1, m + 1), repeat=n)
-        }
+        table = {}
+        candidates = product(range(1, m + 1), repeat=n)
+        while chunk := [StreamAllocation(s) for s in islice(candidates, _SEARCH_CHUNK)]:
+            values = _sum_capacities(config, chunk, objective, trials, seed, workers)
+            table.update(zip((alloc.streams for alloc in chunk), values))
         best = _first_max(table, table.get)
         return SearchResult(
             best_allocation=StreamAllocation(best),
@@ -224,7 +238,7 @@ def maximize_sum_capacity(
             if not changed:
                 fixed_point = True
                 break
-        value = _sum_capacity(config, alloc, objective, trials, seed, workers)
+        [value] = _sum_capacities(config, [alloc], objective, trials, seed, workers)
         evaluations += 1
         return SearchResult(
             best_allocation=alloc,

@@ -489,6 +489,22 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert "workers" in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--workers", "0"), "workers must be an int >= 1, got 0"),
+            (("--backend", "mc", "--trials", "999"),
+             "trials must be an int >= 1000, got 999"),
+            (("--rate-to-beta", "-1"), "rate_to_beta must be finite and > 0, got -1.0"),
+        ],
+        ids=["workers", "trials", "rate_to_beta"],
+    )
+    def test_checks_worded_as_in_the_library(self, capsys, flags, message):
+        code, out, err = run_cli(
+            capsys, "capacity", "--links", "2", "--antennas", "1", *flags
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_numerical_failure_maps_to_three(self, capsys, monkeypatch):
         def explode(config, alloc):
             raise NumericalError("synthetic failure")

@@ -65,6 +65,26 @@ CASES = {
          "--trials", "10000"],
         0,
     ),
+    "optimize_exhaustive_mc": (
+        ["optimize", "--links", "3", "--antennas", "3", "--backend", "mc",
+         "--trials", "20000", "--seed", "5"],
+        0,
+    ),
+    "optimize_coordinate_mc": (
+        ["optimize", "--links", "3", "--antennas", "3", "--backend", "mc",
+         "--trials", "20000", "--seed", "5", "--mode", "coordinate"],
+        0,
+    ),
+    "fig1_mc": (
+        ["figure", "fig1", "--antennas", "4", "--n-list", "3,6", "--backend", "mc",
+         "--trials", "10000", "--seed", "3"],
+        0,
+    ),
+    "capacity_sweep_mc": (
+        ["capacity", "--links", "3", "--antennas", "2", "--alloc-sweep",
+         "--backend", "mc", "--trials", "10000"],
+        0,
+    ),
     "error_alloc_range": (
         ["capacity", "--links", "2", "--antennas", "2", "--alloc", "1,3"], 2
     ),

@@ -22,7 +22,7 @@ from oracles import (
 )
 from zfoutage import montecarlo
 from zfoutage.analytic import success_prob_equal_k, sum_capacity_analytic
-from zfoutage.core import DomainError, StreamAllocation, SystemConfig
+from zfoutage.core import DomainError, NumericalError, StreamAllocation, SystemConfig
 from zfoutage.montecarlo import (
     BLOCK_TRIALS,
     MonteCarloEstimate,
@@ -32,6 +32,7 @@ from zfoutage.montecarlo import (
     empirical_outage,
     link_sir_samples,
     link_success_sweep,
+    link_success_table,
 )
 
 
@@ -237,9 +238,12 @@ class TestKernelMatchesReference:
         # The batched kernel and the per-trial reference path, fed the
         # same draws, must agree on every trial's signal and interference.
         m, seed, block, size = 4, 1234, 1, 64
-        config = SystemConfig(len(streams), m, 1.0)
-        signal, interference, resampled = montecarlo._link_block(
-            config, StreamAllocation(streams), link, seed, block, size
+        alloc = StreamAllocation(streams)
+        others = alloc.others(link)
+        [(_, signal, interference, resampled)] = montecarlo._link_block(
+            m, link, sum(others),
+            [(streams[link], montecarlo._column_weights(others))],
+            seed, block, size,
         )
         assert resampled == 0
         # Rebuild the block's draws in the kernel's order: every
@@ -334,6 +338,103 @@ class TestEstimatorDeterminism:
             MonteCarloEstimate(prob=1.2, std_error=0.0, trials=10)
         with pytest.raises(DomainError):
             MonteCarloEstimate(prob=0.5, std_error=0.0, trials=0)
+
+
+# Others of link 0 with M=4: three with k_int = 4 in different order or
+# split, and one with k_int = 3.
+_TABLE_OTHERS = [(1, 3), (2, 2), (3, 1), (1, 2)]
+_TABLE_ALLOCS = [
+    StreamAllocation((k,) + others) for k in range(1, 5) for others in _TABLE_OTHERS
+]
+
+
+class TestLinkSuccessTable:
+    @pytest.mark.parametrize(
+        "trials", [5000, 2 * BLOCK_TRIALS, 2 * BLOCK_TRIALS + 100],
+        ids=["one_block", "two_blocks", "three_blocks"],
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_matches_single_calls(self, trials, workers):
+        cfg = SystemConfig(3, 4, 1.0)
+        table = link_success_table(cfg, _TABLE_ALLOCS, 0, trials, 13, workers=workers)
+        singles = [
+            empirical_link_success(cfg, alloc, 0, trials, 13, workers=workers)
+            for alloc in _TABLE_ALLOCS
+        ]
+        assert table == singles
+
+    def test_later_link_duplicates_and_split_tasks(self, monkeypatch):
+        # Repeated allocations, a link other than 0, and groups split over
+        # several block tasks all leave every entry as its own call gives.
+        monkeypatch.setattr(montecarlo, "_TASK_CANDIDATES", 2)
+        cfg = SystemConfig(4, 3, 0.5)
+        allocs = [
+            StreamAllocation(s)
+            for s in [(1, 2, 3, 1), (2, 1, 3, 1), (1, 3, 3, 2), (2, 1, 3, 1),
+                      (3, 3, 1, 1), (1, 1, 2, 3)]
+        ]
+        table = link_success_table(cfg, allocs, 2, BLOCK_TRIALS + 1, 4, workers=2)
+        assert table == [
+            empirical_link_success(cfg, alloc, 2, BLOCK_TRIALS + 1, 4)
+            for alloc in allocs
+        ]
+
+    def test_kernel_restores_the_stream_through_resamples(self, monkeypatch):
+        # With a coarse rank floor the QR path resamples often; every
+        # k_self must still see exactly the draws of its own kernel call.
+        monkeypatch.setattr(montecarlo, "_RANK_TOL", 0.3)
+        candidates = [
+            (k, montecarlo._column_weights(others))
+            for k in range(1, 5) for others in _TABLE_OTHERS[:3]
+        ]
+        resampled = {}
+        for i, signal, interference, r in montecarlo._link_block(
+            4, 0, 4, candidates, 21, 1, 500
+        ):
+            candidate = candidates[i]
+            [(_, signal1, interference1, r1)] = montecarlo._link_block(
+                4, 0, 4, [candidate], 21, 1, 500
+            )
+            np.testing.assert_array_equal(signal, signal1)
+            np.testing.assert_array_equal(interference, interference1)
+            assert r == r1
+            resampled[candidate[0]] = r
+        assert resampled[1] == 0
+        assert resampled[3] > 0 and resampled[4] > 0
+
+    def test_resample_budget_error_is_the_first_calls(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_RANK_TOL", 0.3)
+        cfg = SystemConfig(3, 4, 1.0)
+        with pytest.raises(NumericalError) as single:
+            for alloc in _TABLE_ALLOCS:
+                empirical_link_success(cfg, alloc, 0, 3000, 9)
+        with pytest.raises(NumericalError) as table:
+            link_success_table(cfg, _TABLE_ALLOCS, 0, 3000, 9)
+        assert str(table.value) == str(single.value)
+
+    def test_empty_and_invalid(self):
+        cfg = SystemConfig(3, 4, 1.0)
+        assert link_success_table(cfg, [], 0, 100, 0) == []
+        with pytest.raises(DomainError):
+            link_success_table(cfg, [StreamAllocation((1, 5, 1))], 0, 100, 0)
+        with pytest.raises(DomainError):
+            link_success_table(cfg, _TABLE_ALLOCS, 3, 100, 0)
+        with pytest.raises(DomainError):
+            link_success_table(cfg, _TABLE_ALLOCS, 0, 0, 0)
+
+
+class TestIntegerArguments:
+    def test_numpy_integers_come_back_as_int(self):
+        cfg, alloc = SystemConfig(2, 2, 1.0), StreamAllocation((1, 2))
+        trials, seed = np.int64(2000), np.int64(7)
+        for est in (
+            empirical_link_success(cfg, alloc, 0, trials, seed, workers=np.int64(2)),
+            link_success_table(cfg, [alloc], 0, trials, seed)[0],
+            link_success_sweep(cfg, alloc, 0, [1.0], trials, seed)[0],
+            direct_distribution_outage(2, 1, [2], 1.0, trials, seed),
+        ):
+            assert type(est.trials) is int
+        assert type(empirical_outage(cfg, alloc, trials, seed).trials) is int
 
 
 class TestMarginals:
@@ -500,6 +601,15 @@ class TestWorkerCount:
         est = direct_distribution_outage(2, 1, [1], 1.0, trials, 4, workers=workers)
         assert sorted(lanes_run) == [(i, lanes, i == 0) for i in range(lanes)]
         assert est == direct_distribution_outage(2, 1, [1], 1.0, trials, 4)
+
+    def test_default_is_every_cpu(self, monkeypatch, lanes_run):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        cfg, alloc = SystemConfig(2, 2, 1.0), StreamAllocation((1, 1))
+        est = empirical_link_success(cfg, alloc, 0, 3 * BLOCK_TRIALS, 5)
+        assert sorted(lanes_run) == [(0, 2, True), (1, 2, False)]
+        assert est == empirical_link_success(
+            cfg, alloc, 0, 3 * BLOCK_TRIALS, 5, workers=1
+        )
 
     def test_samples_merged_in_block_order(self, monkeypatch):
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from zfoutage import optimizer
 from zfoutage.analytic import (
     link_success_prob,
     min_links_single_stream,
@@ -16,6 +17,7 @@ from zfoutage.core import (
     StreamAllocation,
     SystemConfig,
 )
+from zfoutage.montecarlo import empirical_link_success
 from zfoutage.optimizer import (
     best_response,
     empirical_threshold,
@@ -83,6 +85,21 @@ class TestBestResponse:
         b = best_response(cfg, alloc, 0, objective="montecarlo", trials=5000, seed=3)
         assert a == b
 
+    def test_montecarlo_matches_single_calls(self):
+        # The first strict maximum of the per-candidate estimates, each
+        # made by its own call on the shared seed.
+        cfg = SystemConfig(4, 3, 0.5)
+        alloc = StreamAllocation((1, 2, 1, 3))
+        values = [
+            cfg.rate * k * empirical_link_success(
+                cfg, alloc.replace(1, k), 1, 5000, 8, workers=1
+            ).prob
+            for k in (1, 2, 3)
+        ]
+        expected = 1 + values.index(max(values))
+        got = best_response(cfg, alloc, 1, "montecarlo", trials=5000, seed=8, workers=2)
+        assert got == expected
+
     def test_validation(self):
         cfg = SystemConfig(2, 2, 1.0)
         alloc = StreamAllocation((1, 1))
@@ -143,6 +160,28 @@ class TestExhaustiveSearch:
         assert a.best_allocation == b.best_allocation
         assert a.best_value == b.best_value
         assert a.per_candidate_values == b.per_candidate_values
+
+    def test_montecarlo_table_matches_single_calls(self):
+        cfg = SystemConfig(3, 2, 1.0)
+        result = maximize_sum_capacity(
+            cfg, objective="montecarlo", trials=5000, seed=3, workers=2
+        )
+        for streams, value in result.per_candidate_values.items():
+            alloc = StreamAllocation(streams)
+            assert value == math.fsum(
+                cfg.rate * alloc.streams[link]
+                * empirical_link_success(cfg, alloc, link, 5000, 3).prob
+                for link in range(3)
+            )
+
+    @pytest.mark.parametrize("objective", ["analytic", "montecarlo"])
+    def test_evaluated_in_chunks(self, monkeypatch, objective):
+        # Chunks of 5 of the 27 allocations give the whole-table result.
+        cfg = SystemConfig(3, 3, 1.0)
+        kwargs = dict(objective=objective, trials=3000, seed=2)
+        whole = maximize_sum_capacity(cfg, **kwargs)
+        monkeypatch.setattr(optimizer, "_SEARCH_CHUNK", 5)
+        assert maximize_sum_capacity(cfg, **kwargs) == whole
 
     def test_mode_validation(self):
         cfg = SystemConfig(2, 2, 1.0)
