@@ -234,11 +234,7 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return str(value)  # a float's str is its repr, which round-trips
 
 
 def _write(out: str | None, text: str) -> None:
@@ -408,22 +404,31 @@ def cmd_figure(run: argparse.Namespace) -> int:
         stamp["links"] = run.links
         stamp["beta_list"] = ",".join(repr(b) for b in run.beta_list)
         column, values = "beta", run.beta_list
+    # Only link 0's estimates are printed, so only link 0 is simulated.
+    k1_values = range(1, run.antennas + 1)
+    if run.backend != "analytic" and column == "beta":
+        # The draws never depend on beta: one sweep per k1 gives every
+        # threshold's estimate, bitwise the single-threshold one.
+        config = SystemConfig(run.links, run.antennas, values[0], run.rate)
+        per_beta = zip(*[
+            montecarlo.link_success_sweep(
+                config, StreamAllocation((k1,) + (1,) * (run.links - 1)), 0,
+                values, run.trials, run.seed, workers=run.workers,
+            )
+            for k1 in k1_values
+        ])
     rows = []
     for value in values:
         links, beta = (value, run.beta) if column == "links" else (run.links, value)
         config = SystemConfig(links, run.antennas, beta, run.rate)
-        k1_values = range(1, run.antennas + 1)
-        if run.backend != "analytic":
-            # Only link 0's estimates are printed, so only link 0 is
-            # simulated, in one table over k1.
+        if run.backend != "analytic" and column == "links":
+            # fig1 simulates each link count in one table over k1.
+            allocs = [StreamAllocation((k1,) + (1,) * (links - 1)) for k1 in k1_values]
             estimates = montecarlo.link_success_table(
-                config,
-                [StreamAllocation((k1,) + (1,) * (links - 1)) for k1 in k1_values],
-                0,
-                run.trials,
-                run.seed,
-                workers=run.workers,
+                config, allocs, 0, run.trials, run.seed, workers=run.workers
             )
+        elif run.backend != "analytic":
+            estimates = next(per_beta)
         for k1 in k1_values:
             cells = {}
             if run.backend != "mc":

@@ -11,13 +11,14 @@ Determinism contract.  Trials are split into fixed blocks of
 BLOCK_TRIALS; block b of a given purpose draws from an own counter-keyed
 stream, Philox(key=seed, counter=[0, 0, b, purpose<<32 | unit]).  Blocks
 are merged in index order, so results depend only on (arguments, seed),
-never on the worker count.  Parallel blocks run on threads of one shared
-pool: numpy's generators and LAPACK release the GIL, and no block shares
-state with another.  Within a block the draw order is fixed:
-interference entries first, then the self matrix.  Keeping the
-interference draws first means estimates for different k_self candidates
-under one seed share their interference realizations, which is what
-makes common-random-number comparisons between stream counts tight.
+never on the worker count.  Parallel blocks run on a thread pool that
+each call opens and shuts down before it returns: numpy's generators and
+LAPACK release the GIL, and no block shares state with another.  Within
+a block the draw order is fixed: interference entries first, then the
+self matrix.  Keeping the interference draws first means estimates for
+different k_self candidates under one seed share their interference
+realizations, which is what makes common-random-number comparisons
+between stream counts tight.
 
 Shared draws.  The first interference draw of a block depends only on
 (seed, link, block) and the interference column count k_int, the sum
@@ -37,8 +38,7 @@ from __future__ import annotations
 
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -247,67 +247,18 @@ def _block_sizes(trials: int) -> list[int]:
     return sizes
 
 
-# One thread pool for the whole process, started by the first parallel
-# call.  Its threads are marked so that a block running on one never
-# submits to the pool it runs on.
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-_pool_thread = threading.local()
-
-
-def _mark_pool_thread() -> None:
-    _pool_thread.active = True
-
-
-def _shared_pool() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(
-                max_workers=os.cpu_count() or 1,
-                thread_name_prefix="zfoutage-mc",
-                initializer=_mark_pool_thread,
-            )
-        return _pool
-
-
-def _forget_pool() -> None:
-    # A forked child has none of the parent's threads; it starts its own.
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _lane(task_fn, args_list, start: int, step: int) -> list:
-    """Blocks start, start + step, ... of a call, in order."""
-    return [task_fn(*args) for args in args_list[start::step]]
-
-
 def _run_tasks(task_fn, args_list, workers: int) -> list:
     """Run task_fn on every argument tuple; results in block order.
 
-    The call uses min(workers, blocks, CPUs) lanes.  The caller runs
-    lane 0 itself and the shared pool runs the others.
+    A pool of min(workers, blocks, CPUs) threads lives for this call only;
+    with one thread the caller runs every block itself.  More threads than
+    blocks or CPUs would only add hand-off cost.
     """
-    # More lanes than blocks or CPUs only add hand-off cost.
-    lanes = min(workers, len(args_list), os.cpu_count() or 1)
-    if lanes <= 1 or getattr(_pool_thread, "active", False):
-        return _lane(task_fn, args_list, 0, 1)
-    pool = _shared_pool()
-    futures = [
-        pool.submit(_lane, task_fn, args_list, i, lanes) for i in range(1, lanes)
-    ]
-    try:
-        first = _lane(task_fn, args_list, 0, lanes)
-    finally:
-        wait(futures)
-    results = [None] * len(args_list)
-    results[0::lanes] = first
-    for i, future in enumerate(futures, start=1):
-        results[i::lanes] = future.result()
-    return results
+    threads = min(workers, len(args_list), os.cpu_count() or 1)
+    if threads <= 1:
+        return [task_fn(*args) for args in args_list]
+    with ThreadPoolExecutor(threads, thread_name_prefix="zfoutage-mc") as pool:
+        return list(pool.map(task_fn, *zip(*args_list)))
 
 
 def _check_mc_args(trials, seed, workers) -> tuple[int, int, int]:
@@ -380,7 +331,7 @@ def _link_estimates(
 
     Distinct (k_self, others) candidates are grouped by k_int, and each
     group runs in block tasks of at most _TASK_CANDIDATES candidates.
-    All tasks go to the pool in one call.
+    All tasks run in one _run_tasks call.
     """
     link, trials, seed, workers = _check_link_args(
         config, allocs, link, trials, seed, workers

@@ -192,6 +192,8 @@ def maximize_sum_capacity(
     ``max_sweeps`` is hit (fixed_point=False).  This is a heuristic: it
     certifies a fixed point, not a global optimum.
     """
+    budget = check_int("budget", budget, 1)
+    max_sweeps = check_int("max_sweeps", max_sweeps, 1)
     _check_objective(objective, trials, seed)
     n, m = config.num_links, config.num_antennas
 
@@ -215,7 +217,6 @@ def maximize_sum_capacity(
         )
 
     if mode == "coordinate":
-        check_int("max_sweeps", max_sweeps, 1)
         alloc = StreamAllocation.uniform(n, 1)
         evaluations = 0
         fixed_point = False

@@ -362,6 +362,24 @@ class TestOptimizeCommand:
         assert code == 4
         assert "budget" in err
 
+    @pytest.mark.parametrize(
+        "limit, mode",
+        [
+            (["--budget", "0"], "exhaustive"),
+            (["--budget", "-5"], "coordinate"),
+            (["--max-sweeps", "0"], "exhaustive"),
+        ],
+        ids=["budget_0", "budget_negative_coordinate", "sweeps_0_exhaustive"],
+    )
+    def test_search_limit_rejected(self, capsys, limit, mode):
+        code, _, err = run_cli(
+            capsys,
+            "optimize", "--links", "3", "--antennas", "3", "--mode", mode, *limit,
+        )
+        assert code == 2
+        name = limit[0][2:].replace("-", "_")
+        assert f"error: {name} must be an int >= 1, got {limit[1]}" in err
+
     def test_both_backend_rejected(self, capsys):
         code, _, err = run_cli(
             capsys,

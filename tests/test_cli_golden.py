@@ -11,7 +11,9 @@ re-baselines the corpus once with
     PYTHONPATH=src python tests/test_cli_golden.py
 
 which rewrites every expected file from the current checkout, and names
-the re-baseline in CHANGES.md.
+the re-baseline in CHANGES.md.  Naming cases rewrites only those:
+
+    PYTHONPATH=src python tests/test_cli_golden.py fig2_mc
 """
 
 from __future__ import annotations
@@ -80,6 +82,11 @@ CASES = {
          "--trials", "10000", "--seed", "3"],
         0,
     ),
+    "fig2_mc": (
+        ["figure", "fig2", "--antennas", "3", "--links", "4", "--beta-list", "0.5,2",
+         "--backend", "mc", "--trials", "10000", "--seed", "9"],
+        0,
+    ),
     "capacity_sweep_mc": (
         ["capacity", "--links", "3", "--antennas", "2", "--alloc-sweep",
          "--backend", "mc", "--trials", "10000"],
@@ -115,10 +122,14 @@ def test_golden(name, tmp_path):
     assert err == (GOLDEN / f"{name}.err").read_bytes()
 
 
-def regenerate() -> None:
+def regenerate(names: list[str]) -> None:
+    """Rewrite the expected files of ``names``, or of every case if none."""
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown case(s): {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(CASES):
+        for name in sorted(set(names) or CASES):
             code, output, err = run_case(name, pathlib.Path(tmp))
             if code != CASES[name][1]:
                 sys.exit(f"{name}: exit code {code}, table says {CASES[name][1]}")
@@ -127,4 +138,4 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:])

@@ -555,18 +555,17 @@ class TestTrialAndSeedArguments:
 
 
 @pytest.fixture
-def lanes_run(monkeypatch):
-    """(start, step, ran in the calling thread) of every lane run."""
-    seen = []
-    caller = threading.current_thread()
-    real_lane = montecarlo._lane
+def pools_opened(monkeypatch):
+    """max_workers of every thread pool a Monte Carlo call opens."""
+    sizes = []
 
-    def spy(task_fn, args_list, start, step):
-        seen.append((start, step, threading.current_thread() is caller))
-        return real_lane(task_fn, args_list, start, step)
+    class SpyPool(ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
 
-    monkeypatch.setattr(montecarlo, "_lane", spy)
-    return seen
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SpyPool)
+    return sizes
 
 
 class TestWorkerCount:
@@ -581,32 +580,33 @@ class TestWorkerCount:
             direct_distribution_outage(2, 1, [1], 1.0, 100, 0, workers=workers)
 
     @pytest.mark.parametrize(
-        "workers, cpus, blocks, lanes",
+        "workers, cpus, blocks, threads",
         [
             (8, 3, 5, 3),
             (2, 8, 5, 2),
             (64, 64, 5, 5),
-            (8, 1, 5, 1),
-            (8, None, 5, 1),
+            (8, 1, 5, None),
+            (8, None, 5, None),
             (2, 2, 2, 2),
         ],
         ids=["cpus", "workers", "blocks", "one_cpu", "unknown_cpus", "two_blocks"],
     )
-    def test_pool_capped(self, monkeypatch, lanes_run, workers, cpus, blocks, lanes):
-        # A call runs min(workers, blocks, cpus) lanes.  Lane i takes
-        # blocks i, i + lanes, ...; lane 0 runs in the calling thread,
-        # and so does the whole call when it has one lane.
+    def test_pool_capped(
+        self, monkeypatch, pools_opened, workers, cpus, blocks, threads
+    ):
+        # A call opens a pool of min(workers, blocks, cpus) threads, and
+        # none when that is 1: the caller then runs every block itself.
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         trials = blocks * BLOCK_TRIALS
         est = direct_distribution_outage(2, 1, [1], 1.0, trials, 4, workers=workers)
-        assert sorted(lanes_run) == [(i, lanes, i == 0) for i in range(lanes)]
+        assert pools_opened == ([] if threads is None else [threads])
         assert est == direct_distribution_outage(2, 1, [1], 1.0, trials, 4)
 
-    def test_default_is_every_cpu(self, monkeypatch, lanes_run):
+    def test_default_is_every_cpu(self, monkeypatch, pools_opened):
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         cfg, alloc = SystemConfig(2, 2, 1.0), StreamAllocation((1, 1))
         est = empirical_link_success(cfg, alloc, 0, 3 * BLOCK_TRIALS, 5)
-        assert sorted(lanes_run) == [(0, 2, True), (1, 2, False)]
+        assert pools_opened == [2]
         assert est == empirical_link_success(
             cfg, alloc, 0, 3 * BLOCK_TRIALS, 5, workers=1
         )
@@ -624,24 +624,36 @@ class TestWorkerCount:
             direct_sir_samples(3, 2, [1, 3], trials, 6),
         )
 
-    def test_pool_thread_runs_serially(self, monkeypatch, lanes_run):
-        # A call made on a pool thread never submits to the pool it runs
-        # on, so it cannot wait on itself.
+    def test_pool_thread_runs_serially(self, monkeypatch):
+        # A parallel call made on a thread of another executor opens its
+        # own pool, so it cannot wait on the pool it runs on, and it
+        # returns its serial result.
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         cfg, alloc = SystemConfig(3, 2, 1.0), StreamAllocation((1, 2, 1))
 
-        def call():
-            return empirical_link_success(cfg, alloc, 0, 2 * BLOCK_TRIALS, 5, workers=2)
+        def call(workers):
+            return empirical_link_success(
+                cfg, alloc, 0, 2 * BLOCK_TRIALS, 5, workers=workers
+            )
 
-        nested = montecarlo._shared_pool().submit(call).result(timeout=120)
-        assert lanes_run == [(0, 1, False)]
-        assert nested == call()
+        outer = ThreadPoolExecutor(1)
+        nested = outer.submit(call, 2).result(timeout=120)
+        outer.shutdown()
+        assert nested == call(1)
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        before = threading.active_count()
+        direct_distribution_outage(2, 1, [1], 1.0, 2 * BLOCK_TRIALS, 3, workers=2)
+        assert threading.active_count() == before
+        alive = [t.name for t in threading.enumerate()]
+        assert not [name for name in alive if name.startswith("zfoutage-mc")]
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
     )
     def test_forked_child_starts_its_own_pool(self, monkeypatch):
-        # A forked child inherits the pool object but none of its threads.
+        # A forked child inherits none of its parent's threads.
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         cfg, alloc = SystemConfig(3, 2, 1.0), StreamAllocation((2, 1, 1))
 
@@ -649,7 +661,6 @@ class TestWorkerCount:
             return empirical_link_success(cfg, alloc, 0, 3 * BLOCK_TRIALS, 8, workers=2)
 
         expected = call()
-        montecarlo._shared_pool()
 
         def child():
             assert call() == expected
@@ -666,19 +677,9 @@ class TestWorkerCount:
 
 class TestConcurrentCallers:
     def test_each_thread_gets_its_serial_results(self, monkeypatch):
-        # Two threads share the pool at once; each result must equal its
-        # own serial call bit for bit, resample count included.  They
-        # start with no pool, so both race to create the one pool.
+        # Two threads run parallel calls at once; each result must equal
+        # its own serial call bit for bit, resample count included.
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
-        created = []
-
-        class CountedPool(ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                created.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", CountedPool)
-        monkeypatch.setattr(montecarlo, "_pool", None)
         cfg = SystemConfig(4, 3, 1.0)
         trials = 3 * BLOCK_TRIALS + 7
 
@@ -722,7 +723,6 @@ class TestConcurrentCallers:
             sys.setswitchinterval(interval)
         assert not errors, errors
         assert not any(t.is_alive() for t in threads)
-        assert len(created) == 1
         for out in results:
             for i, expected in enumerate(serial):
                 for got in out[i]:

@@ -152,6 +152,25 @@ class TestExhaustiveSearch:
         with pytest.raises(SearchBudgetError):
             maximize_sum_capacity(cfg, mode="exhaustive", budget=10_000)
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "coordinate"])
+    @pytest.mark.parametrize(
+        "limits",
+        [
+            {"budget": "x"},
+            {"budget": True},
+            {"budget": 1.5e9},
+            {"budget": 0},
+            {"budget": -5},
+            {"max_sweeps": 1.5},
+            {"max_sweeps": 0},
+        ],
+        ids=["budget_str", "budget_bool", "budget_float", "budget_0",
+             "budget_negative", "sweeps_float", "sweeps_0"],
+    )
+    def test_search_limits_checked_in_both_modes(self, mode, limits):
+        with pytest.raises(DomainError, match="must be an int >= 1"):
+            maximize_sum_capacity(SystemConfig(2, 2, 1.0), mode=mode, **limits)
+
     def test_montecarlo_objective_deterministic(self):
         cfg = SystemConfig(3, 2, 1.0)
         kwargs = dict(mode="exhaustive", objective="montecarlo", trials=5000, seed=3)
