@@ -37,6 +37,7 @@ from .analytic import (
     min_links_single_stream,
     success_prob_equal_k,
     success_prob_general,
+    success_table,
     sum_capacity_analytic,
 )
 from .montecarlo import (
@@ -91,5 +92,6 @@ __all__ = [
     "reset_clamp_count",
     "success_prob_equal_k",
     "success_prob_general",
+    "success_table",
     "sum_capacity_analytic",
 ]

@@ -50,6 +50,7 @@ __all__ = [
     "gamma_approx_params",
     "success_prob_general",
     "link_success_prob",
+    "success_table",
     "NStarResult",
     "min_links_single_stream",
     "sum_capacity_analytic",
@@ -271,13 +272,39 @@ def link_success_prob(
     )
 
 
+def success_table(
+    config: SystemConfig, allocs: Sequence[StreamAllocation]
+) -> list[tuple[float, ...]]:
+    """Every link's success probability under each allocation, in order.
+
+    Row i holds link_success_prob(config, allocs[i], link) for each link,
+    bit for bit.  A link's value depends only on its own stream count and
+    the multiset of the other links' counts: the equal-k series sees only
+    that multiset, and the gamma fit sums its moments with math.fsum,
+    whose result does not depend on the order of its terms.  So each
+    distinct multiset of all links' counts gets one {k_self: value} map
+    per call, which evaluates each distinct (k_self, sorted others) pair
+    once and shares it across links and allocations.  Every allocation is
+    validated.
+    """
+    by_multiset: dict[tuple[int, ...], dict[int, float]] = {}
+    rows = []
+    for alloc in allocs:
+        alloc.validate_against(config)
+        multiset = tuple(sorted(alloc.streams))
+        probs = by_multiset.get(multiset)
+        if probs is None:
+            probs = by_multiset[multiset] = {
+                k: link_success_prob(config, alloc, alloc.streams.index(k))
+                for k in dict.fromkeys(multiset)
+            }
+        rows.append(tuple(map(probs.__getitem__, alloc.streams)))
+    return rows
+
+
 def sum_capacity_analytic(
     config: SystemConfig, alloc: StreamAllocation
 ) -> OutageReport:
     """Per-link success probabilities and capacities for one allocation."""
-    alloc.validate_against(config)
-    probs = [
-        link_success_prob(config, alloc, link)
-        for link in range(config.num_links)
-    ]
+    [probs] = success_table(config, [alloc])
     return OutageReport.from_success(config, alloc, probs)

@@ -307,13 +307,16 @@ def _reports(
 ) -> list[dict]:
     """Per allocation, {backend: outage report} for the run's backends.
 
-    Analytic comes first.  The Monte Carlo reports are built from one
-    link_success_table per link, so the allocations share their draws.
+    Analytic comes first, from one success_table over every allocation,
+    so each distinct link term is evaluated once.  The Monte Carlo
+    reports are built from one link_success_table per link, so the
+    allocations share their draws.
     """
     backends = {}
     if run.backend != "mc":
         backends["analytic"] = [
-            analytic.sum_capacity_analytic(config, alloc) for alloc in allocs
+            OutageReport.from_success(config, alloc, probs)
+            for alloc, probs in zip(allocs, analytic.success_table(config, allocs))
         ]
     if run.backend != "analytic":
         tables = [

@@ -19,6 +19,7 @@ from .analytic import (
     link_success_prob,
     min_links_single_stream,
     success_prob_equal_k,
+    success_table,
 )
 from .core import (
     DomainError,
@@ -53,9 +54,11 @@ class SearchResult:
 
     per_candidate_values is the full table in exhaustive mode and None
     otherwise; fixed_point reports whether coordinate descent converged
-    (None in exhaustive mode).  evaluations counts objective evaluations
-    (per-link capacity calls for best-response sweeps, full-allocation
-    values in exhaustive mode).
+    (None in exhaustive mode).  evaluations counts objective values, not
+    closed-form or Monte Carlo terms: M per best-response call plus the
+    final value in coordinate mode, and the M^N allocation values in
+    exhaustive mode, although the analytic objective shares each distinct
+    link term among them and so evaluates far fewer.
     """
 
     best_allocation: StreamAllocation
@@ -116,8 +119,17 @@ def _sum_capacities(
     seed,
     workers,
 ) -> list[float]:
-    """Sum capacity of each allocation in ``allocs``, in order."""
+    """Sum capacity of each allocation in ``allocs``, in order.
+
+    The analytic objective evaluates each distinct link term once, in
+    one success_table call across every link and allocation.
+    """
     # The per-link values and their exact sum are those of an OutageReport.
+    if objective == "analytic":
+        return [
+            math.fsum([config.rate * k * p for k, p in zip(alloc.streams, probs)])
+            for alloc, probs in zip(allocs, success_table(config, allocs))
+        ]
     columns = [
         _link_capacities(config, allocs, link, objective, trials, seed, workers)
         for link in range(config.num_links)

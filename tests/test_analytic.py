@@ -1,6 +1,8 @@
 """Closed-form success probabilities, the gamma fit, and the link threshold."""
 
 import math
+import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -18,10 +20,12 @@ from zfoutage.analytic import (
     min_links_single_stream,
     success_prob_equal_k,
     success_prob_general,
+    success_table,
     sum_capacity_analytic,
 )
 from zfoutage.core import (
     DomainError,
+    OutageReport,
     SearchBudgetError,
     StreamAllocation,
     SystemConfig,
@@ -303,6 +307,70 @@ class TestLinkDispatch:
             link_success_prob(cfg, alloc, 2)
         with pytest.raises(DomainError):
             link_success_prob(cfg, alloc, -1)
+
+
+class TestPermutationInvariance:
+    """A link's value depends only on k_self and the others' multiset.
+
+    success_table shares one evaluation among every link and allocation
+    with the same pair, which is exact only if this holds bit for bit.
+    """
+
+    def test_reordering_the_links_changes_no_bit(self):
+        rng = random.Random(2011)
+        branches = set()
+        for _ in range(2000):
+            m, n = rng.randint(1, 6), rng.randint(2, 7)
+            streams = [rng.randint(1, m) for _ in range(n)]
+            if rng.random() < 0.25:  # every other link equal: the exact series
+                streams[1:] = [rng.randint(1, m)] * (n - 1)
+            link = rng.randrange(n)
+            cfg = SystemConfig(n, m, round(2.0 ** rng.uniform(-4.0, 4.0), 6))
+            alloc = StreamAllocation(tuple(streams))
+            value = link_success_prob(cfg, alloc, link).hex()
+            others = list(alloc.others(link))
+            branches.add(len(set(others)) == 1)
+            for _ in range(3):
+                rng.shuffle(others)
+                pos = rng.randrange(n)
+                permuted = StreamAllocation(
+                    tuple(others[:pos] + [streams[link]] + others[pos:])
+                )
+                assert link_success_prob(cfg, permuted, pos).hex() == value, (
+                    alloc, link, permuted, pos
+                )
+        assert branches == {True, False}
+
+
+class TestSuccessTable:
+    @pytest.mark.parametrize("n, m", [(2, 1), (3, 3), (4, 3), (5, 2), (3, 5)])
+    def test_rows_are_the_per_link_values(self, n, m):
+        cfg = SystemConfig(n, m, 0.7, rate=1.5)
+        allocs = [StreamAllocation(s) for s in product(range(1, m + 1), repeat=n)]
+        # Any order, with repeats: rows follow the list.
+        allocs += random.Random(n * m).sample(allocs, len(allocs) // 2)
+        rows = success_table(cfg, allocs)
+        assert len(rows) == len(allocs)
+        for alloc, row in zip(allocs, rows):
+            expected = tuple(link_success_prob(cfg, alloc, link) for link in range(n))
+            assert [p.hex() for p in row] == [p.hex() for p in expected]
+            assert sum_capacity_analytic(cfg, alloc) == OutageReport.from_success(
+                cfg, alloc, expected
+            )
+
+    def test_empty_list(self):
+        assert success_table(SystemConfig(2, 2, 1.0), []) == []
+
+    @pytest.mark.parametrize(
+        "streams", [(1, 2, 3), (1, 2), (2, 2, 1, 1)], ids=["range", "short", "long"]
+    )
+    def test_every_allocation_is_validated(self, streams):
+        cfg = SystemConfig(3, 2, 1.0)
+        bad = StreamAllocation(streams)
+        with pytest.raises(DomainError):
+            success_table(cfg, [StreamAllocation((1, 2, 2)), bad])
+        with pytest.raises(DomainError):
+            sum_capacity_analytic(cfg, bad)
 
 
 class TestSumCapacity:

@@ -41,7 +41,15 @@ CASES = {
     "capacity_sweep": (
         ["capacity", "--links", "3", "--antennas", "2", "--alloc-sweep"], 0
     ),
+    "capacity_sweep_N4_M3": (
+        ["capacity", "--links", "4", "--antennas", "3", "--beta", "0.7",
+         "--alloc-sweep"],
+        0,
+    ),
     "optimize_exhaustive": (["optimize", "--links", "3", "--antennas", "3"], 0),
+    "optimize_N6_M4": (
+        ["optimize", "--links", "6", "--antennas", "4", "--beta", "1.3"], 0
+    ),
     "optimize_coordinate": (
         ["optimize", "--links", "3", "--antennas", "3", "--mode", "coordinate"], 0
     ),

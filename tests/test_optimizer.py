@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from zfoutage import optimizer
+from zfoutage import analytic, optimizer
 from zfoutage.analytic import (
     link_success_prob,
     min_links_single_stream,
@@ -126,6 +126,22 @@ class TestExhaustiveSearch:
         assert res.best_allocation == StreamAllocation((1, 1, 1))
         assert len(res.per_candidate_values) == 27
         assert res.evaluations == 27
+
+    def test_each_distinct_link_term_evaluated_once(self, monkeypatch):
+        # 4 own stream counts times C(8, 5) = 56 multisets of the five
+        # other links' counts, against 6 * 4**6 = 24,576 per-link terms.
+        calls = 0
+        series_sum = analytic._series_sum
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return series_sum(*args)
+
+        monkeypatch.setattr(analytic, "_series_sum", counting)
+        res = maximize_sum_capacity(SystemConfig(6, 4, 1.3))
+        assert calls == 224
+        assert res.evaluations == len(res.per_candidate_values) == 4**6
 
     def test_table_invariants(self):
         cfg = SystemConfig(2, 3, 0.7)
