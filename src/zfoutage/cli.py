@@ -24,13 +24,11 @@ import argparse
 import json
 import math
 import sys
-from itertools import product
 from typing import Sequence
 
 from . import analytic, montecarlo, optimizer
 from .core import (
     DomainError,
-    OutageReport,
     SearchBudgetError,
     StreamAllocation,
     SystemConfig,
@@ -43,6 +41,8 @@ from .core import (
 
 _BACKENDS = ("analytic", "mc", "both")
 _FORMATS = ("csv", "json")
+# The optimizer objective of each single backend.
+_OBJECTIVES = {"analytic": "analytic", "mc": "montecarlo"}
 
 # Every optional value of every subcommand.  _COMMAND_DEFAULTS replaces
 # the few that differ for one command or figure; a config file and then
@@ -302,51 +302,26 @@ def _join(row: dict, cells: dict, suffixes: tuple, abs_diff: bool) -> dict:
     return row
 
 
-def _reports(
-    run: argparse.Namespace, config: SystemConfig, allocs: list[StreamAllocation]
-) -> list[dict]:
-    """Per allocation, {backend: outage report} for the run's backends.
-
-    Analytic comes first, from one success_table over every allocation,
-    so each distinct link term is evaluated once.  The Monte Carlo
-    reports are built from one link_success_table per link, so the
-    allocations share their draws.
-    """
-    backends = {}
-    if run.backend != "mc":
-        backends["analytic"] = [
-            OutageReport.from_success(config, alloc, probs)
-            for alloc, probs in zip(allocs, analytic.success_table(config, allocs))
-        ]
-    if run.backend != "analytic":
-        tables = [
-            montecarlo.link_success_table(
-                config, allocs, link, run.trials, run.seed, workers=run.workers
-            )
-            for link in range(config.num_links)
-        ]
-        backends["mc"] = [
-            OutageReport.from_estimates(config, alloc, estimates)
-            for alloc, estimates in zip(allocs, zip(*tables))
-        ]
-    return [dict(zip(backends, reports)) for reports in zip(*backends.values())]
-
-
 def _allocation_sweep(
     run: argparse.Namespace, config: SystemConfig, suffixes: tuple, abs_diff: bool
 ) -> list[dict]:
-    """One row of sum capacities per allocation, in lexicographic order."""
-    allocs = [
-        StreamAllocation(streams)
-        for streams in product(range(1, run.antennas + 1), repeat=run.links)
-    ]
+    """One row of sum capacities per allocation, in lexicographic order.
+
+    Each backend's cells are the table of one exhaustive search, so the
+    search's budget bounds the sweep.
+    """
+    backends = [b for b in _OBJECTIVES if run.backend in (b, "both")]
+    tables = {
+        backend: optimizer.maximize_sum_capacity(
+            config, "exhaustive", _OBJECTIVES[backend], budget=run.budget,
+            trials=run.trials, seed=run.seed, workers=run.workers,
+        ).per_candidate_values
+        for backend in backends
+    }
     rows = []
-    for alloc, reports in zip(allocs, _reports(run, config, allocs)):
-        cells = {
-            backend: {"sum_capacity": report.sum_capacity}
-            for backend, report in reports.items()
-        }
-        rows.append(_join(_k_columns(alloc.streams), cells, suffixes, abs_diff))
+    for streams in tables[backends[0]]:
+        cells = {b: {"sum_capacity": tables[b][streams]} for b in backends}
+        rows.append(_join(_k_columns(streams), cells, suffixes, abs_diff))
     return rows
 
 
@@ -355,20 +330,20 @@ def cmd_capacity(run: argparse.Namespace) -> int:
     stamp = _stamp(run, *_SCENARIO_STAMP)
 
     if run.alloc_sweep:
-        total = run.antennas**run.links
-        if total > 1_000_000:
-            raise SearchBudgetError(
-                f"alloc sweep would cover {total} allocations (budget 1000000)"
-            )
         stamp["alloc"] = "sweep"
         _emit(run, stamp, _allocation_sweep(run, config, _SUFFIXED, True))
         return 0
 
     streams = run.alloc if run.alloc is not None else (1,) * run.links
     alloc = StreamAllocation(streams)
-    alloc.validate_against(config)
     stamp["alloc"] = ",".join(str(k) for k in alloc.streams)
-    [reports] = _reports(run, config, [alloc])
+    reports = {}
+    if run.backend != "mc":
+        reports["analytic"] = analytic.sum_capacity_analytic(config, alloc)
+    if run.backend != "analytic":
+        reports["mc"] = montecarlo.empirical_outage(
+            config, alloc, run.trials, run.seed, workers=run.workers
+        )
     # With both backends the table compares per-link values side by side;
     # the sum capacity appears only in a single-backend table.
     both = len(reports) == 2
@@ -466,15 +441,14 @@ def cmd_nstar(run: argparse.Namespace) -> int:
 def cmd_optimize(run: argparse.Namespace) -> int:
     if run.backend == "both":
         raise DomainError("optimize takes backend analytic or mc, not both")
-    objective = "analytic" if run.backend == "analytic" else "montecarlo"
     result = optimizer.maximize_sum_capacity(
         SystemConfig(run.links, run.antennas, run.beta, run.rate),
         mode=run.mode,
-        objective=objective,
+        objective=_OBJECTIVES[run.backend],
         budget=run.budget,
         max_sweeps=run.max_sweeps,
-        trials=run.trials if objective == "montecarlo" else None,
-        seed=run.seed if objective == "montecarlo" else None,
+        trials=run.trials,
+        seed=run.seed,
         workers=run.workers,
     )
     best = result.best_allocation.streams

@@ -153,6 +153,17 @@ class SystemConfig:
             object.__setattr__(self, name, check_int(name, getattr(self, name), lo))
         check_positive("sir_threshold", self.sir_threshold)
         check_positive("rate", self.rate)
+        # Every capacity, and every sum of them, is at most rate * N * M,
+        # so a finite bound keeps every capacity and math.fsum finite.
+        try:
+            finite = math.isfinite(self.rate * self.num_links * self.num_antennas)
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
+            raise DomainError(
+                "rate * num_links * num_antennas must be finite, got "
+                f"{self.rate!r} * {self.num_links} * {self.num_antennas}"
+            )
 
     @classmethod
     def from_rate(

@@ -11,8 +11,9 @@ import pytest
 
 import zfoutage
 import zfoutage.analytic
+from zfoutage import montecarlo, optimizer
 from zfoutage.cli import main
-from zfoutage.core import NumericalError
+from zfoutage.core import NumericalError, SystemConfig
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +104,26 @@ class TestCapacityCommand:
         assert len(rows) == 4
         table = {(row[0], row[1]): float(row[2]) for row in rows}
         assert max(table, key=table.get) == ("1", "1")
+
+    @pytest.mark.parametrize(
+        "backend, objective", [("analytic", "analytic"), ("mc", "montecarlo")]
+    )
+    def test_alloc_sweep_is_the_search_table(self, capsys, backend, objective):
+        # The sweep prints the exhaustive search's table, bit for bit.
+        code, out, _ = run_cli(
+            capsys,
+            "capacity", "--links", "3", "--antennas", "3", "--beta", "0.8",
+            "--rate", "1.5", "--alloc-sweep", "--backend", backend,
+            "--trials", "10000", "--seed", "4",
+        )
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        table = optimizer.maximize_sum_capacity(
+            SystemConfig(3, 3, 0.8, 1.5), "exhaustive", objective,
+            trials=10_000, seed=4,
+        ).per_candidate_values
+        assert [tuple(int(k) for k in row[:3]) for row in rows] == list(table)
+        assert [float(row[3]) for row in rows] == list(table.values())
 
     def test_both_backend_reports_gap(self, capsys):
         code, out, err = run_cli(
@@ -454,12 +475,56 @@ class TestExitCodes:
         assert code == 2
         assert "1000" in err
 
-    def test_sweep_budget(self, capsys):
-        code, _, _ = run_cli(
-            capsys,
-            "capacity", "--links", "40", "--antennas", "8", "--alloc-sweep",
+    def test_sweep_budget(self, capsys, monkeypatch):
+        # The search refuses the sweep before it simulates anything.
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+
+        monkeypatch.setattr(montecarlo, "link_success_table", spy)
+        monkeypatch.setattr(optimizer, "link_success_table", spy)
+        for backend in ("analytic", "mc", "both"):
+            code, out, err = run_cli(
+                capsys,
+                "capacity", "--links", "40", "--antennas", "8", "--alloc-sweep",
+                "--backend", backend,
+            )
+            assert code == 4
+            assert out == ""
+            assert err == (
+                f"error: exhaustive search needs {8**40} evaluations, "
+                "budget is 1000000\n"
+            )
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("capacity", "--links", "3", "--antennas", "2", "--beta", "0.01",
+             "--rate", "1e308"),
+            ("figure", "fig3", "--links", "2", "--antennas", "2", "--beta", "0.01",
+             "--rate", "1e308"),
+            ("capacity", "--links", "2", "--antennas", "2", "--rate", "1e308",
+             "--alloc", "2,2"),
+        ],
+        ids=["capacity", "fig3", "alloc"],
+    )
+    def test_huge_rate(self, argv):
+        # Capacities past the float range are an invalid rate: one error
+        # line, not inf cells or an OverflowError from fsum.
+        result = subprocess.run(
+            [sys.executable, "-m", "zfoutage", *argv],
+            capture_output=True,
+            text=True,
+            env=checkout_env(),
         )
-        assert code == 4
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith(
+            "error: rate * num_links * num_antennas must be finite"
+        )
+        assert result.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("seed", ["-1", str(2**128)])
     def test_out_of_range_seed(self, seed):

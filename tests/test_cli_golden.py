@@ -26,6 +26,7 @@ import tempfile
 
 import pytest
 
+from zfoutage import optimizer
 from zfoutage.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -68,6 +69,11 @@ CASES = {
     "capacity_mc": (
         ["capacity", "--links", "3", "--antennas", "3", "--alloc", "1,2,3",
          "--backend", "mc", "--trials", "20000", "--seed", "17"],
+        0,
+    ),
+    "capacity_both": (
+        ["capacity", "--links", "4", "--antennas", "3", "--alloc", "1,1,2,3",
+         "--backend", "both", "--trials", "20000", "--seed", "11"],
         0,
     ),
     "fig3_both": (
@@ -122,12 +128,23 @@ def run_case(name: str, directory: pathlib.Path) -> tuple[int, bytes, bytes]:
     return code, output, stderr.getvalue().encode()
 
 
+def expected(name: str) -> tuple[int, bytes, bytes]:
+    """What run_case must return for ``name``."""
+    files = ((GOLDEN / f"{name}{ext}").read_bytes() for ext in (".out", ".err"))
+    return (CASES[name][1], *files)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden(name, tmp_path):
-    code, output, err = run_case(name, tmp_path)
-    assert code == CASES[name][1]
-    assert output == (GOLDEN / f"{name}.out").read_bytes()
-    assert err == (GOLDEN / f"{name}.err").read_bytes()
+    assert run_case(name, tmp_path) == expected(name)
+
+
+@pytest.mark.parametrize("name", ["capacity_sweep_N4_M3", "fig3_both"])
+def test_golden_with_small_search_chunks(name, tmp_path, monkeypatch):
+    # Sweeps print the exhaustive search's table, which the search fills
+    # chunk by chunk; chunk borders must not change a byte.
+    monkeypatch.setattr(optimizer, "_SEARCH_CHUNK", 5)
+    assert run_case(name, tmp_path) == expected(name)
 
 
 def regenerate(names: list[str]) -> None:

@@ -138,6 +138,22 @@ class TestSystemConfig:
             SystemConfig.from_rate(2, 1, rate)
 
     @pytest.mark.parametrize(
+        "num_links, num_antennas, rate",
+        [(2, 2, 1e308), (3, 2, 1e308), (10**400, 1, 1.0), (2, 10**306, 1000.0)],
+    )
+    def test_capacity_bound_overflow(self, num_links, num_antennas, rate):
+        # rate * N * M bounds every capacity and every sum of capacities;
+        # past the float range it is an invalid rate, not inf or an
+        # OverflowError from fsum.
+        with pytest.raises(DomainError, match="must be finite"):
+            SystemConfig(num_links, num_antennas, 1.0, rate)
+
+    def test_from_rate_capacity_bound_overflow(self):
+        # 2**1000 fits a float, but 1000 * N * M does not.
+        with pytest.raises(DomainError, match="must be finite"):
+            SystemConfig.from_rate(2, 10**306, 1000.0)
+
+    @pytest.mark.parametrize(
         "kwargs",
         [
             dict(num_links=1, num_antennas=1, sir_threshold=1.0),
