@@ -43,10 +43,8 @@ from .analytic import (
 from .montecarlo import (
     MonteCarloEstimate,
     direct_distribution_outage,
-    direct_sir_samples,
     empirical_link_success,
     empirical_outage,
-    link_sir_samples,
     link_success_sweep,
     link_success_table,
 )
@@ -78,12 +76,10 @@ __all__ = [
     "clamp_count",
     "clamp_probability",
     "direct_distribution_outage",
-    "direct_sir_samples",
     "empirical_link_success",
     "empirical_outage",
     "empirical_threshold",
     "gamma_approx_params",
-    "link_sir_samples",
     "link_success_prob",
     "link_success_sweep",
     "link_success_table",

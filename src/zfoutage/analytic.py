@@ -29,6 +29,7 @@ integral.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -62,8 +63,14 @@ def _series_sum(num_extra: int, d: float, lam: float) -> float:
 
     num_extra is M - k_self, the number of terms beyond r = 0.  Terms
     are evaluated through math.lgamma so that lam of order 10^3 neither
-    overflows nor loses the factorial ratios.
+    overflows nor loses the factorial ratios.  A d that underflowed to 0
+    leaves only the r = 0 term, (1 + 0)^-lam = 1; one that overflowed
+    leaves none.
     """
+    if d == 0.0:
+        return 1.0
+    if d == math.inf:
+        return 0.0
     log_d = math.log(d)
     log_1pd = math.log1p(d)
     lg_lam = math.lgamma(lam)
@@ -117,8 +124,15 @@ def gamma_approx_params(weights: Sequence[float]) -> GammaParams:
         raise DomainError("weights must be non-empty")
     for w in set(ws):  # weights repeat (k copies of 1/k): check each value once
         check_positive("weights entry", w)
-    total = math.fsum(ws)
-    total_sq = math.fsum(w * w for w in ws)
+    try:
+        total = math.fsum(ws)
+        total_sq = math.fsum(w * w for w in ws)
+    except OverflowError:  # finite terms that sum past the largest float
+        total_sq = math.inf
+    if not sys.float_info.min <= total_sq < math.inf:  # subnormal or beyond
+        raise NumericalError(
+            f"moment match lost the variance: sum of squared weights {total_sq!r}"
+        )
     params = GammaParams(shape=total * total / total_sq, rate=total / total_sq)
     if not math.isclose(params.mean, total, rel_tol=1e-9):
         raise NumericalError(
@@ -188,10 +202,20 @@ def min_links_single_stream(
         ((k + beta*(p+1)) / (k + beta*p))^{(N-1)k - 1}
             * (beta / (k + beta))^{M - p + 1}  >=  (p+1)/p
 
-    with k = k_other.  In logs it reads ((N-1)k - 1) * slope_p + offset_p
-    >= 0 with slope_p > 0, so it holds from
+    with k = k_other.  In logs it reads ((N-1)k - 2) * slope_p >= offset_p
+    with
 
-        N_p = max(2, ceil(1 + (1 - offset_p/slope_p) / k))
+        slope_p  = log((k + beta*(p+1)) / (k + beta*p))
+                 = log1p(1 / (p + k/beta)),
+        offset_p = log((p+1)/p) - slope_p + (M - p + 1) * log1p(k/beta)
+                 = log1p(k / (p * (k + beta*(p+1)))) + (M - p + 1) * log1p(k/beta).
+
+    Where k + beta*(p+1) overflows, the log1p it feeds is below 1e-308
+    and drops to 0.  offset_p is never formed as a difference, so the
+    sign stays right even where beta dwarfs k and slope_p rounds to
+    log((p+1)/p).  With slope_p > 0 the condition holds from
+
+        N_p = max(2, ceil(1 + (2 + offset_p/slope_p) / k))
 
     on.  Rounding can put that estimate one off, so N_p is then moved a
     step at a time until the predicate itself holds at N_p and fails at
@@ -203,25 +227,23 @@ def min_links_single_stream(
     k_other = check_int("k_other", k_other, 1, num_antennas)
 
     k = float(k_other)
+    spread = math.log1p(k / beta)  # -log(beta / (k + beta))
     slopes = []
     offsets = []
     for p in range(1, num_antennas + 1):
-        slope = math.log((k + beta * (p + 1)) / (k + beta * p))
-        offset = (num_antennas - p + 1) * math.log(beta / (k + beta)) - math.log(
-            (p + 1) / p
-        )
-        slopes.append(slope)
-        offsets.append(offset)
+        slopes.append(math.log1p(1.0 / (p + k / beta)))
+        gap = math.log1p(k / (p * (k + beta * (p + 1))))
+        offsets.append(gap + (num_antennas - p + 1) * spread)
 
     def margin(idx: int, n: int) -> float:
-        return ((n - 1) * k - 1.0) * slopes[idx] + offsets[idx]
+        return ((n - 1) * k - 2.0) * slopes[idx] - offsets[idx]
 
     firsts = []  # N_p for p = idx + 1
     for idx in range(num_antennas):
         # slope_p is 0 when beta vanishes against k in floating point; the
         # left side then never grows and no N satisfies the condition.
         if slopes[idx] > 0.0:
-            estimate = 1.0 + (1.0 - offsets[idx] / slopes[idx]) / k
+            estimate = 1.0 + (2.0 + offsets[idx] / slopes[idx]) / k
         else:
             estimate = math.inf
         if not estimate <= cap + 2:

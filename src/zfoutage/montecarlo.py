@@ -63,9 +63,7 @@ __all__ = [
     "empirical_link_success",
     "link_success_table",
     "link_success_sweep",
-    "link_sir_samples",
     "empirical_outage",
-    "direct_sir_samples",
     "direct_distribution_outage",
 ]
 
@@ -214,14 +212,6 @@ def _link_block_hits(num_antennas, link, k_int, candidates, betas, seed, block, 
     return out
 
 
-def _link_block_sir(num_antennas, link, k_int, candidates, seed, block, size):
-    """(SIR samples, resampled) of _link_block's one candidate."""
-    [(_, signal, interference, resampled)] = _link_block(
-        num_antennas, link, k_int, candidates, seed, block, size
-    )
-    return (signal / candidates[0][0]) / interference, resampled
-
-
 def _direct_block(
     num_antennas: int,
     k_self: int,
@@ -278,36 +268,6 @@ def _check_resamples(resampled: int, trials: int) -> None:
         )
 
 
-def _check_link_args(config: SystemConfig, allocs, link, trials, seed, workers):
-    """Validated (link, trials, seed, workers) of a full-channel call."""
-    for alloc in allocs:
-        alloc.validate_against(config)
-    link = check_int("link index", link, 0, config.num_links - 1)
-    return (link, *_check_mc_args(trials, seed, workers))
-
-
-def _direct_blocks(
-    num_antennas: int,
-    k_self: int,
-    k_others: Sequence[int],
-    trials: int,
-    seed: int,
-    workers: int | None,
-):
-    """(trials as an int, block results) of a direct-sampler call."""
-    num_antennas = check_int("num_antennas", num_antennas, 1)
-    check_int("k_self", k_self, 1, num_antennas)
-    others = tuple(check_int("k_others entry", k, 1, num_antennas) for k in k_others)
-    if not others:
-        raise DomainError("k_others must name at least one interferer")
-    trials, seed, workers = _check_mc_args(trials, seed, workers)
-    args = [
-        (num_antennas, k_self, others, seed, block, size)
-        for block, size in enumerate(_block_sizes(trials))
-    ]
-    return trials, _run_tasks(_direct_block, args, workers)
-
-
 def _estimate(hits: int, trials: int, resampled: int) -> MonteCarloEstimate:
     p = hits / trials
     return MonteCarloEstimate(
@@ -333,9 +293,10 @@ def _link_estimates(
     group runs in block tasks of at most _TASK_CANDIDATES candidates.
     All tasks run in one _run_tasks call.
     """
-    link, trials, seed, workers = _check_link_args(
-        config, allocs, link, trials, seed, workers
-    )
+    for alloc in allocs:
+        alloc.validate_against(config)
+    link = check_int("link index", link, 0, config.num_links - 1)
+    trials, seed, workers = _check_mc_args(trials, seed, workers)
     keys = [(alloc.streams[link], alloc.others(link)) for alloc in allocs]
     groups: dict[int, list] = {}
     for key in dict.fromkeys(keys):
@@ -431,30 +392,6 @@ def link_success_sweep(
     return row
 
 
-def link_sir_samples(
-    config: SystemConfig,
-    alloc: StreamAllocation,
-    link: int,
-    trials: int,
-    seed: int,
-    *,
-    workers: int | None = None,
-) -> np.ndarray:
-    """Raw stream-1 SIR samples for one link, blocks concatenated in order."""
-    link, trials, seed, workers = _check_link_args(
-        config, [alloc], link, trials, seed, workers
-    )
-    k_self, others = alloc.streams[link], alloc.others(link)
-    candidates = ((k_self, _column_weights(others)),)
-    args = [
-        (config.num_antennas, link, sum(others), candidates, seed, block, size)
-        for block, size in enumerate(_block_sizes(trials))
-    ]
-    results = _run_tasks(_link_block_sir, args, workers)
-    _check_resamples(sum(r for _, r in results), trials)
-    return np.concatenate([sir for sir, _ in results])
-
-
 def empirical_outage(
     config: SystemConfig,
     alloc: StreamAllocation,
@@ -471,22 +408,6 @@ def empirical_outage(
     return OutageReport.from_estimates(config, alloc, estimates)
 
 
-def direct_sir_samples(
-    num_antennas: int,
-    k_self: int,
-    k_others: Sequence[int],
-    trials: int,
-    seed: int,
-    *,
-    workers: int | None = None,
-) -> np.ndarray:
-    """SIR samples from the marginal model (no matrices involved)."""
-    _, results = _direct_blocks(num_antennas, k_self, k_others, trials, seed, workers)
-    return np.concatenate(
-        [(signal / k_self) / interference for signal, interference in results]
-    )
-
-
 def direct_distribution_outage(
     num_antennas: int,
     k_self: int,
@@ -499,9 +420,17 @@ def direct_distribution_outage(
 ) -> MonteCarloEstimate:
     """Second oracle: P(SIR >= beta) under the direct marginal model."""
     check_positive("beta", beta)
-    trials, results = _direct_blocks(
-        num_antennas, k_self, k_others, trials, seed, workers
-    )
+    num_antennas = check_int("num_antennas", num_antennas, 1)
+    check_int("k_self", k_self, 1, num_antennas)
+    others = tuple(check_int("k_others entry", k, 1, num_antennas) for k in k_others)
+    if not others:
+        raise DomainError("k_others must name at least one interferer")
+    trials, seed, workers = _check_mc_args(trials, seed, workers)
+    args = [
+        (num_antennas, k_self, others, seed, block, size)
+        for block, size in enumerate(_block_sizes(trials))
+    ]
+    results = _run_tasks(_direct_block, args, workers)
     hits = sum(
         _hits(signal, interference, k_self, beta) for signal, interference in results
     )

@@ -6,9 +6,12 @@ from scipy's regularized incomplete gamma or direct series summation,
 success probabilities from adaptive quadrature over the interference
 density, and the SIR of one trial from an explicit per-trial
 zero-forcing vector (SVD of the excluded columns) instead of the batched
-QR kernel.  The one thing shared with the package is its random
+QR kernel.  Two things are shared with the package.  Its random
 streams: ``link_power_samples`` replays the full-channel sampler's draws
-so its marginals describe the very trials the sampler scores.  Expected
+so its marginals describe the very trials the sampler scores.  And its
+block kernels: ``link_sir_samples`` and ``direct_sir_samples`` return
+the raw SIR samples that the library only reduces to estimates, so the
+distributional tests look at exactly the sampled trials.  Expected
 values in the test suite are either hand-derivable constants or outputs
 of these oracles; none are copied from the implementation under test.
 """
@@ -128,6 +131,42 @@ def shifted_equal_k_series(
         )
         terms.append(math.exp(log_term))
     return min(1.0, math.fsum(terms))
+
+
+def _ceil_sum(a, b, j: int) -> int:
+    """ceil(a + j*b) for mpf a, b, exactly: summed on their mantissas."""
+    man_a, exp_a = a.man_exp
+    man_b, exp_b = b.man_exp
+    e = min(exp_a, exp_b)
+    total = (man_a << (exp_a - e)) + j * (man_b << (exp_b - e))
+    return total << e if e >= 0 else -((-total) >> -e)
+
+
+def min_links_reference(max_antennas: int, beta: float, k_other: int) -> dict:
+    """{M: N*} of the single-stream link-count condition, at 60 digits.
+
+    With u = k/beta and c = (N-1)k - 1, stream count p's condition reads
+    c * slope_p >= log((p+1)/p) + (M-p+1) log1p(u), where slope_p =
+    log((u+p+1)/(u+p)).  As beta grows the bound on c falls to 1 from
+    above by a margin of order u, which a 60-digit quotient would round
+    away.  So the excess over 1 is formed from log((p+1)/p) - slope_p =
+    log1p(u / (p(u+p+1))) and its ceiling taken exactly.  N* is the
+    largest over p of the smallest N >= 2 whose c clears the bound.
+    """
+    with mpmath.workdps(60):
+        u = mpmath.mpf(k_other) / mpmath.mpf(beta)
+        spread = mpmath.log1p(u)
+        logs = [mpmath.log(u + p) for p in range(1, max_antennas + 2)]
+        excess = []  # (a_p, b_p): the excess is a_p + (M-p+1) * b_p
+        for p in range(1, max_antennas + 1):
+            slope = logs[p] - logs[p - 1]
+            gap = mpmath.log1p(u / (p * (u + p + 1)))
+            excess.append((gap / slope, spread / slope))
+    stars = {}
+    for m in range(k_other, max_antennas + 1):
+        c_min = [1 + _ceil_sum(*excess[p - 1], m - p + 1) for p in range(1, m + 1)]
+        stars[m] = max(2, 1 + max(-(-(c + 1) // k_other) for c in c_min))
+    return stars
 
 
 def weighted_exp_moments(weights) -> tuple[float, float]:
@@ -348,3 +387,49 @@ def link_power_samples(
         signals.append(signal)
         summands.append(np.abs((q @ h_int)[:, 0, :]) ** 2)
     return np.concatenate(signals), np.concatenate(summands)
+
+
+def link_sir_samples(
+    config: SystemConfig,
+    alloc: StreamAllocation,
+    link: int,
+    trials: int,
+    seed: int,
+    *,
+    workers: int = 1,
+) -> np.ndarray:
+    """The full-channel sampler's stream-1 SIR samples, blocks in order.
+
+    Runs the library's own block kernel, so every sample is one the
+    sampler scores for ``empirical_link_success`` on the same seed.
+    """
+    k_self, others = alloc.streams[link], alloc.others(link)
+    candidates = ((k_self, montecarlo._column_weights(others)),)
+    args = [
+        (config.num_antennas, link, sum(others), candidates, seed, block, size)
+        for block, size in enumerate(montecarlo._block_sizes(trials))
+    ]
+
+    def block_sir(*block_args):
+        [(_, signal, interference, _)] = montecarlo._link_block(*block_args)
+        return (signal / k_self) / interference
+
+    return np.concatenate(montecarlo._run_tasks(block_sir, args, workers))
+
+
+def direct_sir_samples(
+    num_antennas: int,
+    k_self: int,
+    k_others,
+    trials: int,
+    seed: int,
+    *,
+    workers: int = 1,
+) -> np.ndarray:
+    """The direct sampler's SIR samples, from its own block kernel."""
+    args = [
+        (num_antennas, k_self, tuple(k_others), seed, block, size)
+        for block, size in enumerate(montecarlo._block_sizes(trials))
+    ]
+    blocks = montecarlo._run_tasks(montecarlo._direct_block, args, workers)
+    return np.concatenate([(signal / k_self) / interf for signal, interf in blocks])

@@ -12,7 +12,13 @@ import pytest
 from scipy import stats
 
 from conftest import criterion
-from oracles import equal_k_success_quad, link_power_samples, shifted_equal_k_series
+from oracles import (
+    direct_sir_samples,
+    equal_k_success_quad,
+    link_power_samples,
+    link_sir_samples,
+    shifted_equal_k_series,
+)
 from zfoutage.analytic import (
     min_links_single_stream,
     success_prob_equal_k,
@@ -22,10 +28,8 @@ from zfoutage.cli import main
 from zfoutage.core import StreamAllocation, SystemConfig
 from zfoutage.montecarlo import (
     direct_distribution_outage,
-    direct_sir_samples,
     empirical_link_success,
     empirical_outage,
-    link_sir_samples,
     link_success_sweep,
 )
 from zfoutage.optimizer import empirical_threshold, maximize_sum_capacity

@@ -9,6 +9,7 @@ import pytest
 
 from oracles import (
     equal_k_success_quad,
+    min_links_reference,
     sample_weighted_exp,
     shifted_equal_k_series,
     weighted_exp_moments,
@@ -25,6 +26,7 @@ from zfoutage.analytic import (
 )
 from zfoutage.core import (
     DomainError,
+    NumericalError,
     OutageReport,
     SearchBudgetError,
     StreamAllocation,
@@ -166,6 +168,16 @@ class TestGammaApprox:
         with pytest.raises(DomainError):
             gamma_approx_params([1.0, -0.5])
 
+    @pytest.mark.parametrize(
+        "weights", [[1e-200], [1e-160, 1e-160], [1e200], [1e154] * 3]
+    )
+    def test_lost_variance(self, weights):
+        # Valid weights whose sum of squares underflows, is subnormal or
+        # overflows: the fit cannot be formed, and the error names the
+        # moment that was lost.
+        with pytest.raises(NumericalError, match="lost the variance"):
+            gamma_approx_params(weights)
+
 
 class TestGeneralSuccess:
     def test_matches_equal_k_when_uniform(self):
@@ -202,6 +214,24 @@ class TestGeneralSuccess:
             success_prob_general(4, 2, [5], 1.0)
         with pytest.raises(DomainError):
             success_prob_general(4, 5, [1], 1.0)
+
+
+class TestExtremeThreshold:
+    # d = beta*k_self/alpha underflows to 0 or overflows to inf at valid
+    # thresholds.  At 0 only the r = 0 term, (1 + 0)^-lam = 1, is left; at
+    # inf no term is.  The neighbouring finite values agree.
+    def test_equal_k_series(self):
+        assert success_prob_equal_k(3, 3, 1, 3, 5e-324) == 1.0  # d == 0
+        assert success_prob_equal_k(3, 3, 1, 1, 5e-324) == 1.0  # d > 0
+        assert success_prob_equal_k(3, 3, 3, 1, 1e308) == 0.0  # d == inf
+        assert success_prob_equal_k(3, 3, 1, 1, 1e308) == 0.0  # d < inf
+
+    def test_gamma_fit(self):
+        # others (3, 2) fit rate 2.4, others (1, 2) rate 4/3.
+        assert success_prob_general(3, 1, [3, 2], 5e-324) == 1.0  # d == 0
+        assert success_prob_general(3, 1, [1, 2], 5e-324) == 1.0  # d > 0
+        assert success_prob_general(3, 3, [1, 2], 1e308) == 0.0  # d == inf
+        assert success_prob_general(3, 1, [1, 2], 1e308) == 0.0  # d < inf
 
 
 class TestMinLinks:
@@ -252,6 +282,24 @@ class TestMinLinks:
                     p for p in streams if n_star == 2 or margin(p, n_star - 1) < 0.0
                 ]
                 assert result.binding_p == min(first, key=lambda p: margin(p, n_star))
+
+    @pytest.mark.parametrize("k_other", [1, 2, 3])
+    def test_exact_reference_to_largest_floats(self, k_other):
+        # N* against the same condition at 60 digits, for M = k_other..12
+        # and beta = 10^-3 .. 10^308 in steps of 0.05 decades.  Past about
+        # beta = 1e16, log(beta / (k + beta)) rounds to 0 in floats.
+        for step in range(-60, 6161):
+            beta = 10.0 ** (step / 20)
+            for m, n_star in min_links_reference(12, beta, k_other).items():
+                got = min_links_single_stream(m, beta, k_other).n_star
+                assert got == n_star, (m, beta, k_other)
+
+    def test_ends_of_the_float_range(self):
+        # The largest float: beta*(p+1) overflows, k/beta is subnormal.
+        assert min_links_single_stream(3, 1.7976931348623157e308).n_star == 4
+        # The smallest: k/beta overflows, and no link count suffices.
+        with pytest.raises(SearchBudgetError):
+            min_links_single_stream(3, 5e-324, 3)
 
     def test_monotone_in_threshold(self):
         stars = [min_links_single_stream(5, b).n_star for b in (1.0, 2.0, 4.0, 8.0)]

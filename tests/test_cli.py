@@ -526,6 +526,40 @@ class TestExitCodes:
         )
         assert result.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("nstar", "--antennas", "3", "--beta", "5e-324", "--k-other", "3"), 4),
+            (("capacity", "--links", "3", "--antennas", "3", "--beta", "5e-324",
+              "--alloc", "1,3,3"), 0),
+            (("capacity", "--links", "3", "--antennas", "3", "--beta", "5e-324",
+              "--alloc", "1,3,2"), 0),
+            (("capacity", "--links", "3", "--antennas", "3", "--beta", "1e308",
+              "--alloc", "3,1,1"), 0),
+            (("nstar", "--antennas", "3", "--beta", "1e308"), 0),
+        ],
+        ids=["nstar_tiny", "equal_k_tiny", "gamma_fit_tiny", "capacity_huge",
+             "nstar_huge"],
+    )
+    def test_extreme_beta(self, argv, code):
+        # Thresholds at the ends of the float range give probabilities of
+        # 1 or 0, or a threshold past the cap: no traceback, no nan.
+        result = subprocess.run(
+            [sys.executable, "-m", "zfoutage", *argv],
+            capture_output=True,
+            text=True,
+            env=checkout_env(),
+        )
+        assert result.returncode == code
+        assert "Traceback" not in result.stderr
+        if code:
+            assert result.stdout == ""
+            assert result.stderr.startswith("error: no stable single-stream")
+            assert result.stderr.count("\n") == 1
+        else:
+            assert result.stderr == ""
+            assert "nan" not in result.stdout
+
     @pytest.mark.parametrize("seed", ["-1", str(2**128)])
     def test_out_of_range_seed(self, seed):
         # A seed the generator cannot key is an invalid argument, reported

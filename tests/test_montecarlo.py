@@ -15,7 +15,9 @@ from oracles import (
     RankDeficiencyError,
     SirSample,
     ZfVector,
+    direct_sir_samples,
     link_power_samples,
+    link_sir_samples,
     sample_channel,
     stream_sir,
     zf_nulling_vector,
@@ -27,10 +29,8 @@ from zfoutage.montecarlo import (
     BLOCK_TRIALS,
     MonteCarloEstimate,
     direct_distribution_outage,
-    direct_sir_samples,
     empirical_link_success,
     empirical_outage,
-    link_sir_samples,
     link_success_sweep,
     link_success_table,
 )
@@ -471,9 +471,9 @@ class TestMarginals:
 
     def test_direct_validation(self):
         with pytest.raises(DomainError):
-            direct_sir_samples(2, 3, [1], 100, seed=0)
+            direct_distribution_outage(2, 3, [1], 1.0, 100, seed=0)
         with pytest.raises(DomainError):
-            direct_sir_samples(2, 1, [], 100, seed=0)
+            direct_distribution_outage(2, 1, [], 1.0, 100, seed=0)
         with pytest.raises(DomainError):
             direct_distribution_outage(2, 1, [1], -1.0, 100, seed=0)
 
@@ -509,18 +509,14 @@ class TestOutageEstimates:
         assert report.sum_capacity == math.fsum(report.per_link_capacity)
 
 
-# One caller per sampler and public entry point, each taking (trials, seed).
+# One caller per sampler's public entry point, each taking (trials, seed).
 _SAMPLERS = {
     "full_channel": lambda trials, seed: empirical_link_success(
-        SystemConfig(2, 2, 1.0), StreamAllocation((1, 1)), 0, trials, seed
-    ),
-    "full_channel_samples": lambda trials, seed: link_sir_samples(
         SystemConfig(2, 2, 1.0), StreamAllocation((1, 1)), 0, trials, seed
     ),
     "direct": lambda trials, seed: direct_distribution_outage(
         2, 1, [1], 1.0, trials, seed
     ),
-    "direct_samples": lambda trials, seed: direct_sir_samples(2, 1, [1], trials, seed),
 }
 
 
@@ -531,8 +527,6 @@ class TestDirectArguments:
         ids=["k_others_float", "antennas_true"],
     )
     def test_invalid(self, num_antennas, k_others):
-        with pytest.raises(DomainError):
-            direct_sir_samples(num_antennas, 1, k_others, 100, 0)
         with pytest.raises(DomainError):
             direct_distribution_outage(num_antennas, 1, k_others, 1.0, 100, 0)
 
