@@ -6,8 +6,8 @@ zero-forcing receiver in the interference-limited regime.  The package
 computes per-stream success probabilities P(SIR >= beta) and the outage
 capacities they imply, three independent ways:
 
-* closed forms (exact for equal interferer stream counts, moment-matched
-  for heterogeneous ones),
+* closed forms (exact for any mix of interferer stream counts, with the
+  moment-matched gamma fit kept as the paper's approximation),
 * full-channel Monte Carlo over complex Gaussian matrices,
 * a direct sampler of the known signal/interference marginals.
 
@@ -19,7 +19,6 @@ which a single stream per link is the right choice.
 from .core import (
     CLAMP_TOL,
     DomainError,
-    GammaParams,
     NumericalError,
     OutageReport,
     SearchBudgetError,
@@ -31,6 +30,7 @@ from .core import (
     reset_clamp_count,
 )
 from .analytic import (
+    GammaParams,
     NStarResult,
     gamma_approx_params,
     link_success_prob,

@@ -1,29 +1,23 @@
 """Closed-form success probabilities, capacities, and the link-count threshold.
 
 One stream of link n clears the SIR threshold beta when its post-nulling
-signal power s ~ Gamma(M - k_self + 1, 1), scaled by 1/k_self, exceeds
-beta times the weighted interference power I.  Integrating the Poisson
-tail of s against a Gamma(lam, alpha) density for I gives a finite sum
+signal power S ~ Gamma(M - k_self + 1, 1) exceeds s*I, s = beta*k_self,
+with I the weighted interference power: P(SIR >= beta) =
+P(Poisson(s*I) <= M - k_self).  For independent interference groups
+I_g ~ Gamma(lam_g, alpha_g), each Poisson(s*I_g) is a gamma mixture,
+N_g ~ NegBin(lam_g, 1/(1+d_g)) with d_g = s/alpha_g, and _series_sum
+returns P(sum_g N_g <= M - k_self).  It is the one formula for:
 
-    P(SIR >= beta) = sum_{r=0}^{M-k_self} d^r / (1+d)^{r+lam}
-                     * Gamma(r+lam) / (r! Gamma(lam)),    d = beta*k_self/alpha.
+* the exact value: the c_k interferers running k streams add one group
+  Gamma(c_k*k, k).  Equal interferers make one group, and the sum is the
+  equal-k series sum_r d^r/(1+d)^{r+lam} Gamma(r+lam)/(r! Gamma(lam));
+* the paper's approximation: one group moment matched to I, which
+  carries the accuracy of that two-moment fit.
 
-Every summand is a negative-binomial probability, so each lies in [0, 1]
-and the partial sum is already a probability.  Two regimes share this
-form:
-
-* equal interferers (every other link runs k_other streams): the
-  interference is exactly Gamma((N-1)*k_other, k_other), so lam and
-  alpha are exact and the sum is the true probability;
-* arbitrary interferers: (lam, alpha) come from moment matching the
-  weighted exponential sum, and the result carries the accuracy of that
-  two-moment fit.
-
-The series here uses the summation range r = 0..M-k_self and exponent
-r+lam that the underlying integral produces.  The "shifted" indexing
-(range r = 1..M-k_self+1, exponent r+lam-1) is not implemented here; the
-tests build it in their oracle module and show that it misses the
-integral.
+The series uses the summation range r = 0..M-k_self and exponent r+lam
+that the underlying integral produces.  The "shifted" indexing (range
+r = 1..M-k_self+1, exponent r+lam-1) is not implemented here; the tests
+build it in their oracle module and show that it misses the integral.
 """
 
 from __future__ import annotations
@@ -35,7 +29,6 @@ from typing import Sequence
 
 from .core import (
     DomainError,
-    GammaParams,
     NumericalError,
     OutageReport,
     SearchBudgetError,
@@ -48,6 +41,7 @@ from .core import (
 
 __all__ = [
     "success_prob_equal_k",
+    "GammaParams",
     "gamma_approx_params",
     "success_prob_general",
     "link_success_prob",
@@ -58,33 +52,45 @@ __all__ = [
 ]
 
 
-def _series_sum(num_extra: int, d: float, lam: float) -> float:
-    """Log-domain evaluation of the success series.
+def _series_sum(
+    num_extra: int, s: float, groups: Sequence[tuple[float, float]]
+) -> float:
+    """P(sum_g N_g <= num_extra) for (lam_g, alpha_g) groups, in their order.
 
-    num_extra is M - k_self, the number of terms beyond r = 0.  Terms
-    are evaluated through math.lgamma so that lam of order 10^3 neither
-    overflows nor loses the factorial ratios.  A d that underflowed to 0
-    leaves only the r = 0 term, (1 + 0)^-lam = 1; one that overflowed
-    leaves none.
+    Terms go through math.lgamma so that lam of order 10^3 neither
+    overflows nor loses the factorial ratios.  A d = s/alpha that
+    underflowed to 0 leaves only the r = 0 term, (1 + 0)^-lam = 1; one
+    that overflowed leaves none.  Each further group is convolved in up
+    to num_extra, every entry a math.fsum of probabilities.
     """
-    if d == 0.0:
-        return 1.0
-    if d == math.inf:
-        return 0.0
-    log_d = math.log(d)
-    log_1pd = math.log1p(d)
-    lg_lam = math.lgamma(lam)
-    terms = []
-    for r in range(0, num_extra + 1):
-        log_term = (
-            r * log_d
-            - (r + lam) * log_1pd
-            + math.lgamma(r + lam)
-            - math.lgamma(r + 1.0)
-            - lg_lam
-        )
-        terms.append(math.exp(log_term))
-    return math.fsum(terms)
+    dist: list[float] = []
+    for lam, alpha in groups:
+        d = s / alpha
+        if d == 0.0:
+            terms = [1.0] + [0.0] * num_extra
+        elif d == math.inf:
+            terms = [0.0] * (num_extra + 1)
+        else:
+            log_d = math.log(d)
+            log_1pd = math.log1p(d)
+            lg_lam = math.lgamma(lam)
+            terms = [
+                math.exp(
+                    r * log_d
+                    - (r + lam) * log_1pd
+                    + math.lgamma(r + lam)
+                    - math.lgamma(r + 1.0)
+                    - lg_lam
+                )
+                for r in range(num_extra + 1)
+            ]
+        if dist:
+            terms = [
+                math.fsum(dist[j] * terms[r - j] for j in range(r + 1))
+                for r in range(num_extra + 1)
+            ]
+        dist = terms
+    return math.fsum(dist)
 
 
 def success_prob_equal_k(
@@ -105,10 +111,29 @@ def success_prob_equal_k(
     k_other = check_int("k_other", k_other, 1, num_antennas)
     check_positive("beta", beta)
 
-    lam = float((num_links - 1) * k_other)
-    d = beta * k_self / k_other
-    total = _series_sum(num_antennas - k_self, d, lam)
+    groups = [(float((num_links - 1) * k_other), k_other)]
+    total = _series_sum(num_antennas - k_self, beta * k_self, groups)
     return clamp_probability(total)
+
+
+@dataclass(frozen=True)
+class GammaParams:
+    """Shape/rate pair of a rate-parameterized gamma distribution."""
+
+    shape: float
+    rate: float
+
+    def __post_init__(self) -> None:
+        check_positive("shape", self.shape)
+        check_positive("rate", self.rate)
+
+    @property
+    def mean(self) -> float:
+        return self.shape / self.rate
+
+    @property
+    def variance(self) -> float:
+        return self.shape / (self.rate * self.rate)
 
 
 def gamma_approx_params(weights: Sequence[float]) -> GammaParams:
@@ -170,8 +195,8 @@ def success_prob_general(
 
     weights = [1.0 / k for k in others for _ in range(k)]
     params = gamma_approx_params(weights)
-    d = beta * k_self / params.rate
-    total = _series_sum(num_antennas - k_self, d, params.shape)
+    groups = [(params.shape, params.rate)]
+    total = _series_sum(num_antennas - k_self, beta * k_self, groups)
     return clamp_probability(total)
 
 
@@ -272,26 +297,17 @@ def min_links_single_stream(
 def link_success_prob(
     config: SystemConfig, alloc: StreamAllocation, link: int
 ) -> float:
-    """P(SIR >= beta) for one link of an allocation.
+    """Exact P(SIR >= beta) for one link of an allocation.
 
-    Dispatches to the exact equal-k series when the other links all run
-    the same stream count, and to the moment-matched general form
-    otherwise.
+    The c_k other links that run k streams form the group
+    Gamma(c_k*k, k) of the interference, taken in ascending k.
     """
     alloc.validate_against(config)
     others = alloc.others(link)
     k_self = alloc.streams[link]
-    if len(set(others)) == 1:
-        return success_prob_equal_k(
-            config.num_antennas,
-            config.num_links,
-            k_self,
-            others[0],
-            config.sir_threshold,
-        )
-    return success_prob_general(
-        config.num_antennas, k_self, others, config.sir_threshold
-    )
+    groups = [(float(others.count(k) * k), k) for k in sorted(set(others))]
+    s = config.sir_threshold * k_self
+    return clamp_probability(_series_sum(config.num_antennas - k_self, s, groups))
 
 
 def success_table(
@@ -301,9 +317,8 @@ def success_table(
 
     Row i holds link_success_prob(config, allocs[i], link) for each link,
     bit for bit.  A link's value depends only on its own stream count and
-    the multiset of the other links' counts: the equal-k series sees only
-    that multiset, and the gamma fit sums its moments with math.fsum,
-    whose result does not depend on the order of its terms.  So each
+    the multiset of the other links' counts: the kernel sees only the
+    groups that multiset forms, convolved in ascending k.  So each
     distinct multiset of all links' counts gets one {k_self: value} map
     per call, which evaluates each distinct (k_self, sorted others) pair
     once and shares it across links and allocations.  Every allocation is

@@ -539,6 +539,16 @@ def cmd_validate(run: argparse.Namespace) -> int:
         abs(full.prob - direct3.prob) <= tol,
         f"full {full.prob!r} vs direct {direct3.prob!r} (tol {tol!r})",
     )
+    exact3 = analytic.link_success_prob(cfg3, al3, 0)
+    tol = 3.0 * direct3.std_error
+    check(
+        "direct-vs-exact-hetero",
+        abs(direct3.prob - exact3) <= tol,
+        f"direct {direct3.prob!r} vs exact {exact3!r} (tol {tol!r})",
+    )
+    # The paper's gamma fit against the exact form, within criterion 4's 2e-2.
+    fit = analytic.success_prob_general(4, 1, [1, 2, 4], 1.0)
+    check("gamma-fit-gap", abs(fit - exact3) <= 2e-2, f"fit {fit!r} vs exact {exact3!r}")
 
     # Equal-weight reduction of the general form.
     worst = 0.0

@@ -34,7 +34,6 @@ __all__ = [
     "reset_clamp_count",
     "SystemConfig",
     "StreamAllocation",
-    "GammaParams",
     "OutageReport",
 ]
 
@@ -235,26 +234,6 @@ class StreamAllocation:
                 f"stream counts {self.streams} exceed "
                 f"{config.num_antennas} antennas"
             )
-
-
-@dataclass(frozen=True)
-class GammaParams:
-    """Shape/rate pair of a rate-parameterized gamma distribution."""
-
-    shape: float
-    rate: float
-
-    def __post_init__(self) -> None:
-        check_positive("shape", self.shape)
-        check_positive("rate", self.rate)
-
-    @property
-    def mean(self) -> float:
-        return self.shape / self.rate
-
-    @property
-    def variance(self) -> float:
-        return self.shape / (self.rate * self.rate)
 
 
 @dataclass(frozen=True)

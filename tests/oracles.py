@@ -4,9 +4,9 @@ Everything here deliberately avoids the package's own evaluation paths:
 log-gamma comes from arbitrary-precision arithmetic, tail probabilities
 from scipy's regularized incomplete gamma or direct series summation,
 success probabilities from adaptive quadrature over the interference
-density, and the SIR of one trial from an explicit per-trial
-zero-forcing vector (SVD of the excluded columns) instead of the batched
-QR kernel.  Two things are shared with the package.  Its random
+density or from the Taylor expansion of its Laplace transform, and the
+SIR of one trial from an explicit per-trial zero-forcing vector (SVD of
+the excluded columns) instead of the batched QR kernel.  Two things are shared with the package.  Its random
 streams: ``link_power_samples`` replays the full-channel sampler's draws
 so its marginals describe the very trials the sampler scores.  And its
 block kernels: ``link_sir_samples`` and ``direct_sir_samples`` return
@@ -131,6 +131,25 @@ def shifted_equal_k_series(
         )
         terms.append(math.exp(log_term))
     return min(1.0, math.fsum(terms))
+
+
+def hetero_success_mp(m: int, k_self: int, k_others, beta: float) -> float:
+    """P(SIR >= beta) for any interferer mix, from the Laplace transform.
+
+    Interferer m adds Gamma(k_m, k_m) to the interference I, so
+    L(s) = E[exp(-s I)] = prod_m (1 + s/k_m)^-k_m.  With x = beta*k_self
+    and the signal's Poisson tail, P(SIR >= beta) = E[P(Poisson(x I) <=
+    M - k_self)] = sum_{r=0}^{M-k_self} (-x)^r / r! * L^(r)(x); the
+    derivatives come from mpmath's Taylor expansion at 50 digits.
+    """
+    with mpmath.workdps(50):
+        x = mpmath.mpf(beta) * k_self
+
+        def laplace(s):
+            return mpmath.fprod((1 + s / k) ** -k for k in k_others)
+
+        coeffs = mpmath.taylor(laplace, x, m - k_self)
+        return float(mpmath.fsum((-x) ** r * c for r, c in enumerate(coeffs)))
 
 
 def _ceil_sum(a, b, j: int) -> int:

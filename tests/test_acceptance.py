@@ -20,6 +20,7 @@ from oracles import (
     shifted_equal_k_series,
 )
 from zfoutage.analytic import (
+    link_success_prob,
     min_links_single_stream,
     success_prob_equal_k,
     success_prob_general,
@@ -251,3 +252,29 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
             by_workers.append(out.read_bytes())
         capsys.readouterr()
         assert by_workers[0] == by_workers[1]
+
+
+@pytest.mark.slow
+def test_criterion_10_exact_heterogeneous_form():
+    with criterion(10, "exact mixed-interferer form within 4.10 SE of direct runs"):
+        # Criterion 4's 24 mixed-interferer checks at 2M trials each.  A
+        # two-sided bound of 4.10 standard errors per check keeps the chance
+        # of any false failure among the 24 at 0.1%.
+        trials = 2_000_000
+        cases = [
+            (m, ks, others)
+            for m in (2, 4)
+            for ks in (1, 2)
+            for others in ([1, 2], [1, 2, 4], [1, 1, 2, 3])
+            if max(others) <= m
+        ]
+        for i, (m, ks, others) in enumerate(cases):
+            for j, beta in enumerate(BETAS):
+                cfg = SystemConfig(len(others) + 1, m, beta)
+                exact = link_success_prob(cfg, StreamAllocation((ks, *others)), 0)
+                direct = direct_distribution_outage(
+                    m, ks, others, beta, trials, seed=10_000 + 10 * i + j
+                )
+                z = (direct.prob - exact) / math.sqrt(exact * (1.0 - exact) / trials)
+                assert abs(z) <= 4.10, (m, ks, others, beta, z)
+        assert len(cases) * len(BETAS) == 24

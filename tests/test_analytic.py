@@ -9,12 +9,14 @@ import pytest
 
 from oracles import (
     equal_k_success_quad,
+    hetero_success_mp,
     min_links_reference,
     sample_weighted_exp,
     shifted_equal_k_series,
     weighted_exp_moments,
 )
 from zfoutage.analytic import (
+    GammaParams,
     NStarResult,
     gamma_approx_params,
     link_success_prob,
@@ -126,6 +128,18 @@ class TestEqualKSuccess:
             success_prob_equal_k(True, 2, 1, 1, 1.0)
 
 
+class TestGammaParams:
+    def test_moments(self):
+        params = GammaParams(shape=8.0 / 3.0, rate=4.0 / 3.0)
+        np.testing.assert_allclose(params.mean, 2.0, rtol=1e-14)
+        np.testing.assert_allclose(params.variance, 1.5, rtol=1e-14)
+
+    @pytest.mark.parametrize("shape,rate", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
+    def test_invalid(self, shape, rate):
+        with pytest.raises(DomainError):
+            GammaParams(shape=shape, rate=rate)
+
+
 class TestGammaApprox:
     def test_single_unit_weight(self):
         params = gamma_approx_params([1.0])
@@ -232,6 +246,17 @@ class TestExtremeThreshold:
         assert success_prob_general(3, 1, [1, 2], 5e-324) == 1.0  # d > 0
         assert success_prob_general(3, 3, [1, 2], 1e308) == 0.0  # d == inf
         assert success_prob_general(3, 1, [1, 2], 1e308) == 0.0  # d < inf
+
+    def test_exact_mixed_interferers(self):
+        # s/alpha underflows in every group or in one; s overflows or not.
+        def value(beta, streams):
+            cfg = SystemConfig(len(streams), 3, beta)
+            return link_success_prob(cfg, StreamAllocation(streams), 0)
+
+        assert value(5e-324, (1, 2, 3)) == 1.0  # both d == 0
+        assert value(5e-324, (1, 1, 3)) == 1.0  # d_1 > 0, d_3 == 0
+        assert value(1e308, (3, 1, 2)) == 0.0  # s == inf
+        assert value(1e308, (1, 1, 2)) == 0.0  # s < inf
 
 
 class TestMinLinks:
@@ -340,13 +365,15 @@ class TestLinkDispatch:
         )
 
     def test_mixed_others_use_general_form(self):
+        # Mixed interferers get the exact value, not the gamma fit.  M=4,
+        # k=2, s = 2: N_1 ~ NegBin(1, 1/3) and N_3 ~ NegBin(3, 3/5) give
+        # P(N_1 + N_3 <= 2) = (1/3)(2133/3125) + (2/9)(1485/3125)
+        # + (4/27)(675/3125) = 1141/3125.
         cfg = SystemConfig(3, 4, 1.0)
         alloc = StreamAllocation((2, 1, 3))
-        np.testing.assert_allclose(
-            link_success_prob(cfg, alloc, 0),
-            success_prob_general(4, 2, [1, 3], 1.0),
-            rtol=0,
-        )
+        value = link_success_prob(cfg, alloc, 0)
+        np.testing.assert_allclose(value, 1141 / 3125, rtol=1e-14)
+        assert abs(value - success_prob_general(4, 2, [1, 3], 1.0)) > 1e-3
 
     def test_link_index_validation(self):
         cfg = SystemConfig(2, 2, 1.0)
@@ -355,6 +382,33 @@ class TestLinkDispatch:
             link_success_prob(cfg, alloc, 2)
         with pytest.raises(DomainError):
             link_success_prob(cfg, alloc, -1)
+
+
+class TestExactMixedInterferers:
+    def test_against_laplace_reference(self):
+        rng = random.Random(1633)
+        for _ in range(150):
+            m = rng.randint(2, 12)
+            k_self = rng.randint(1, m)
+            others = [rng.randint(1, m) for _ in range(rng.randint(2, 6))]
+            if len(set(others)) == 1:
+                others[0] = others[0] % m + 1
+            beta = 2.0 ** rng.uniform(-4.0, 4.0)
+            cfg = SystemConfig(len(others) + 1, m, beta)
+            value = link_success_prob(cfg, StreamAllocation((k_self, *others)), 0)
+            reference = hetero_success_mp(m, k_self, others, beta)
+            np.testing.assert_allclose(
+                value, reference, rtol=1e-12, err_msg=f"{m} {k_self} {others} {beta}"
+            )
+
+    def test_large_network_stays_finite(self):
+        # Group shapes up to 80 * 128, 127 extra terms per group.
+        alloc = StreamAllocation(tuple((1, 2, 3, 64, 128)[i % 5] for i in range(400)))
+        for beta in (1e-5, 0.5):
+            cfg = SystemConfig(400, 128, beta)
+            for link in range(5):
+                p = link_success_prob(cfg, alloc, link)
+                assert math.isfinite(p) and 0.0 <= p <= 1.0
 
 
 class TestPermutationInvariance:

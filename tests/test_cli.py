@@ -414,8 +414,8 @@ class TestValidateCommand:
     def test_passes_and_reports(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--trials", "5000")
         assert code == 0
-        assert "8/8 checks passed" in out
-        assert out.count("PASS") == 8
+        assert "10/10 checks passed" in out
+        assert out.count("PASS") == 10
         assert "FAIL" not in out
 
     def test_workers_reach_every_monte_carlo_call(self, capsys, monkeypatch):

@@ -9,7 +9,6 @@ from oracles import gamma_ccdf, gamma_ccdf_quad, mp_log_gamma, poisson_tail
 from zfoutage.core import (
     CLAMP_TOL,
     DomainError,
-    GammaParams,
     OutageReport,
     StreamAllocation,
     SystemConfig,
@@ -199,18 +198,6 @@ class TestStreamAllocation:
         alloc = StreamAllocation(tuple(np.arange(1, 4)))
         assert alloc.streams == (1, 2, 3)
         assert all(type(k) is int for k in alloc.streams)
-
-
-class TestGammaParams:
-    def test_moments(self):
-        params = GammaParams(shape=8.0 / 3.0, rate=4.0 / 3.0)
-        np.testing.assert_allclose(params.mean, 2.0, rtol=1e-14)
-        np.testing.assert_allclose(params.variance, 1.5, rtol=1e-14)
-
-    @pytest.mark.parametrize("shape,rate", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
-    def test_invalid(self, shape, rate):
-        with pytest.raises(DomainError):
-            GammaParams(shape=shape, rate=rate)
 
 
 class TestOutageReport:
