@@ -35,9 +35,9 @@ from .analytic import (
     gamma_approx_params,
     link_success_prob,
     min_links_single_stream,
+    multiset_sum_capacities,
     success_prob_equal_k,
     success_prob_general,
-    success_table,
     sum_capacity_analytic,
 )
 from .montecarlo import (
@@ -85,9 +85,9 @@ __all__ = [
     "link_success_table",
     "maximize_sum_capacity",
     "min_links_single_stream",
+    "multiset_sum_capacities",
     "reset_clamp_count",
     "success_prob_equal_k",
     "success_prob_general",
-    "success_table",
     "sum_capacity_analytic",
 ]

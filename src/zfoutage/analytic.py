@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     DomainError,
@@ -45,7 +45,7 @@ __all__ = [
     "gamma_approx_params",
     "success_prob_general",
     "link_success_prob",
-    "success_table",
+    "multiset_sum_capacities",
     "NStarResult",
     "min_links_single_stream",
     "sum_capacity_analytic",
@@ -310,38 +310,33 @@ def link_success_prob(
     return clamp_probability(_series_sum(config.num_antennas - k_self, s, groups))
 
 
-def success_table(
-    config: SystemConfig, allocs: Sequence[StreamAllocation]
-) -> list[tuple[float, ...]]:
-    """Every link's success probability under each allocation, in order.
+def multiset_sum_capacities(
+    config: SystemConfig, multisets: Iterable[Sequence[int]]
+) -> list[float]:
+    """Sum capacity of each multiset of the links' stream counts, in order.
 
-    Row i holds link_success_prob(config, allocs[i], link) for each link,
-    bit for bit.  A link's value depends only on its own stream count and
-    the multiset of the other links' counts: the kernel sees only the
-    groups that multiset forms, convolved in ascending k.  So each
-    distinct multiset of all links' counts gets one {k_self: value} map
-    per call, which evaluates each distinct (k_self, sorted others) pair
-    once and shares it across links and allocations.  Every allocation is
-    validated.
+    A link's value depends only on its own count k and the multiset of
+    the others' counts, so a multiset is worth the same under every order
+    of its links.  Each distinct k is evaluated once; its capacity
+    rate*k*P enters the math.fsum once per link that runs k, which gives
+    bit for bit the sum_capacity_analytic value of every allocation that
+    orders the multiset.  Every multiset is validated as an allocation.
     """
-    by_multiset: dict[tuple[int, ...], dict[int, float]] = {}
-    rows = []
-    for alloc in allocs:
-        alloc.validate_against(config)
-        multiset = tuple(sorted(alloc.streams))
-        probs = by_multiset.get(multiset)
-        if probs is None:
-            probs = by_multiset[multiset] = {
-                k: link_success_prob(config, alloc, alloc.streams.index(k))
-                for k in dict.fromkeys(multiset)
-            }
-        rows.append(tuple(map(probs.__getitem__, alloc.streams)))
-    return rows
+    values = []
+    for multiset in multisets:
+        alloc = StreamAllocation(multiset)
+        streams = alloc.streams
+        capacity = {
+            k: config.rate * k * link_success_prob(config, alloc, streams.index(k))
+            for k in dict.fromkeys(streams)
+        }
+        values.append(math.fsum(map(capacity.__getitem__, streams)))
+    return values
 
 
 def sum_capacity_analytic(
     config: SystemConfig, alloc: StreamAllocation
 ) -> OutageReport:
     """Per-link success probabilities and capacities for one allocation."""
-    [probs] = success_table(config, [alloc])
+    probs = [link_success_prob(config, alloc, link) for link in range(alloc.num_links)]
     return OutageReport.from_success(config, alloc, probs)

@@ -24,6 +24,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain
 from typing import Sequence
 
 from . import analytic, montecarlo, optimizer
@@ -92,6 +93,12 @@ _FIGURE_FLAGS = {
 _PLAIN = ("", "")
 _SUFFIXED = ("_analytic", "_mc")
 _FIGURE = ("", "_mc")
+
+# Each backend's cells of one link, in column order.
+_LINK_CELLS = {
+    "analytic": ("success_prob", "capacity"),
+    "mc": ("success_prob", "std_error", "capacity"),
+}
 
 # Stamp keys of the commands that take a scenario (capacity, optimize).
 _SCENARIO_STAMP = ("links", "antennas", "beta", "rate", "backend")
@@ -245,18 +252,20 @@ def _write(out: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _emit(run: argparse.Namespace, stamp: dict, rows: list[dict]) -> None:
-    """Write the stamp and the rows; the keys of each row are the columns."""
-    columns = list(rows[0])
+def _emit(run: argparse.Namespace, stamp: dict, columns: list[str], rows: list) -> None:
+    """Write the stamp, the columns and one line per row, a tuple of cells."""
     if run.format == "csv":
         lines = ["# " + " ".join(f"{k}={_fmt(v)}" for k, v in stamp.items())]
         lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row.values()))
+        if {int, float}.issuperset(map(type, chain.from_iterable(rows))):
+            # Ints and floats alone, as in every large table: a cell is its str.
+            template = ",".join(["%s"] * len(columns))
+            lines.extend(template % row for row in rows)
+        else:
+            lines.extend(",".join(map(_fmt, row)) for row in rows)
         text = "\n".join(lines) + "\n"
     else:
-        values = [list(row.values()) for row in rows]
-        payload = {"spec": stamp, "columns": columns, "rows": values}
+        payload = {"spec": stamp, "columns": columns, "rows": rows}
         text = json.dumps(payload, indent=2) + "\n"
     _write(run.out, text)
 
@@ -271,58 +280,51 @@ def _stamp(run: argparse.Namespace, *keys: str) -> dict:
     return stamp
 
 
-def _k_columns(streams: Sequence[int]) -> dict:
-    return {f"k{i + 1}": k for i, k in enumerate(streams)}
+def _k_columns(num_links: int) -> list[str]:
+    return [f"k{i}" for i in range(1, num_links + 1)]
 
 
-def _cells(prob: float, capacity: float, std_error: float | None = None) -> dict:
-    """One backend's cells for a link; only Monte Carlo has a std_error."""
-    cells = {"success_prob": prob}
-    if std_error is not None:
-        cells["std_error"] = std_error
-    cells["capacity"] = capacity
-    return cells
+def _columns(
+    head: Sequence[str], cells: dict, suffixes: tuple, abs_diff: bool
+) -> list[str]:
+    """``head``, then each backend's cell names, then abs_diff if asked.
 
-
-def _join(row: dict, cells: dict, suffixes: tuple, abs_diff: bool) -> dict:
-    """Append each backend's cells to ``row`` and return it.
-
-    ``cells`` maps "analytic" and/or "mc" to that backend's ordered
-    {column: value} cells; a column is named with the backend's entry of
-    ``suffixes``.  With both backends and ``abs_diff``, a last column
-    holds the gap between the two backends' first cells.
+    ``cells`` maps "analytic" and/or "mc" to that backend's cell names; a
+    column is named with the backend's entry of ``suffixes``.
     """
-    for backend, values in cells.items():
+    columns = list(head)
+    for backend, names in cells.items():
         suffix = suffixes[0] if backend == "analytic" else suffixes[1]
-        for name, value in values.items():
-            row[name + suffix] = value
-    if abs_diff and len(cells) == 2:
-        first, second = (next(iter(values.values())) for values in cells.values())
-        row["abs_diff"] = abs(first - second)
-    return row
+        columns.extend(name + suffix for name in names)
+    if abs_diff:
+        columns.append("abs_diff")
+    return columns
 
 
 def _allocation_sweep(
     run: argparse.Namespace, config: SystemConfig, suffixes: tuple, abs_diff: bool
-) -> list[dict]:
-    """One row of sum capacities per allocation, in lexicographic order.
+) -> tuple[list[str], list[tuple]]:
+    """Columns, and a row of sum capacities per allocation in lexicographic order.
 
     Each backend's cells are the table of one exhaustive search, so the
     search's budget bounds the sweep.
     """
     backends = [b for b in _OBJECTIVES if run.backend in (b, "both")]
-    tables = {
-        backend: optimizer.maximize_sum_capacity(
+    abs_diff = abs_diff and len(backends) == 2
+    tables = [
+        optimizer.maximize_sum_capacity(
             config, "exhaustive", _OBJECTIVES[backend], budget=run.budget,
             trials=run.trials, seed=run.seed, workers=run.workers,
         ).per_candidate_values
         for backend in backends
-    }
-    rows = []
-    for streams in tables[backends[0]]:
-        cells = {b: {"sum_capacity": tables[b][streams]} for b in backends}
-        rows.append(_join(_k_columns(streams), cells, suffixes, abs_diff))
-    return rows
+    ]
+    cells = {b: ("sum_capacity",) for b in backends}
+    columns = _columns(_k_columns(config.num_links), cells, suffixes, abs_diff)
+    # Every table lists the allocations in the same order.
+    sums = zip(*(table.values() for table in tables))
+    if abs_diff:
+        sums = ((first, second, abs(first - second)) for first, second in sums)
+    return columns, [streams + values for streams, values in zip(tables[0], sums)]
 
 
 def cmd_capacity(run: argparse.Namespace) -> int:
@@ -331,7 +333,7 @@ def cmd_capacity(run: argparse.Namespace) -> int:
 
     if run.alloc_sweep:
         stamp["alloc"] = "sweep"
-        _emit(run, stamp, _allocation_sweep(run, config, _SUFFIXED, True))
+        _emit(run, stamp, *_allocation_sweep(run, config, _SUFFIXED, True))
         return 0
 
     streams = run.alloc if run.alloc is not None else (1,) * run.links
@@ -347,19 +349,22 @@ def cmd_capacity(run: argparse.Namespace) -> int:
     # With both backends the table compares per-link values side by side;
     # the sum capacity appears only in a single-backend table.
     both = len(reports) == 2
+    sums = () if both else ("sum_capacity",)
+    names = {backend: _LINK_CELLS[backend] + sums for backend in reports}
+    columns = _columns(("link", "streams"), names, _SUFFIXED if both else _PLAIN, both)
     rows = []
     for n, k in enumerate(alloc.streams):
-        cells = {}
-        for backend, report in reports.items():
-            std_error = None if report.std_error is None else report.std_error[n]
-            cells[backend] = _cells(
-                report.per_link_success_prob[n], report.per_link_capacity[n], std_error
-            )
-            if not both:
-                cells[backend]["sum_capacity"] = report.sum_capacity
-        row = {"link": n + 1, "streams": k}
-        rows.append(_join(row, cells, _SUFFIXED if both else _PLAIN, both))
-    _emit(run, stamp, rows)
+        row = (n + 1, k)
+        for report in reports.values():
+            spread = () if report.std_error is None else (report.std_error[n],)
+            total = () if both else (report.sum_capacity,)
+            row += (report.per_link_success_prob[n], *spread)
+            row += (report.per_link_capacity[n], *total)
+        if both:
+            first, second = (r.per_link_success_prob[n] for r in reports.values())
+            row += (abs(first - second),)
+        rows.append(row)
+    _emit(run, stamp, columns, rows)
     return 0
 
 
@@ -369,7 +374,7 @@ def cmd_figure(run: argparse.Namespace) -> int:
         stamp["links"] = run.links
         stamp["beta"] = run.beta
         config = SystemConfig(run.links, run.antennas, run.beta, run.rate)
-        _emit(run, stamp, _allocation_sweep(run, config, _FIGURE, False))
+        _emit(run, stamp, *_allocation_sweep(run, config, _FIGURE, False))
         return 0
 
     # fig1 sweeps the link count at one threshold, fig2 the threshold at
@@ -395,6 +400,8 @@ def cmd_figure(run: argparse.Namespace) -> int:
             )
             for k1 in k1_values
         ])
+    cells = {b: _LINK_CELLS[b] for b in _LINK_CELLS if run.backend in (b, "both")}
+    columns = _columns((column, "k1"), cells, _FIGURE, False)
     rows = []
     for value in values:
         links, beta = (value, run.beta) if column == "links" else (run.links, value)
@@ -408,15 +415,15 @@ def cmd_figure(run: argparse.Namespace) -> int:
         elif run.backend != "analytic":
             estimates = next(per_beta)
         for k1 in k1_values:
-            cells = {}
+            row = (value, k1)
             if run.backend != "mc":
                 p = analytic.success_prob_equal_k(run.antennas, links, k1, 1, beta)
-                cells["analytic"] = _cells(p, run.rate * k1 * p)
+                row += (p, run.rate * k1 * p)
             if run.backend != "analytic":
                 est = estimates[k1 - 1]
-                cells["mc"] = _cells(est.prob, run.rate * k1 * est.prob, est.std_error)
-            rows.append(_join({column: value, "k1": k1}, cells, _FIGURE, False))
-    _emit(run, stamp, rows)
+                row += (est.prob, est.std_error, run.rate * k1 * est.prob)
+            rows.append(row)
+    _emit(run, stamp, columns, rows)
     return 0
 
 
@@ -434,7 +441,7 @@ def cmd_nstar(run: argparse.Namespace) -> int:
         "analytic_ratio": bound and bound.n_star / run.antennas,
         "empirical_ratio": threshold.threshold / run.antennas,
     }
-    _emit(run, stamp, [row])
+    _emit(run, stamp, list(row), [tuple(row.values())])
     return 0
 
 
@@ -456,20 +463,15 @@ def cmd_optimize(run: argparse.Namespace) -> int:
     stamp["mode"] = run.mode
     stamp["best"] = ",".join(str(k) for k in best)
     if run.mode == "exhaustive":
-        rows = []
-        for streams, value in result.per_candidate_values.items():
-            row = {**_k_columns(streams), "sum_capacity": value}
-            row["is_best"] = 1 if streams == best else 0
-            rows.append(row)
+        columns = [*_k_columns(run.links), "sum_capacity", "is_best"]
+        rows = [
+            (*streams, value, 1 if streams == best else 0)
+            for streams, value in result.per_candidate_values.items()
+        ]
     else:
-        row = {
-            **_k_columns(best),
-            "sum_capacity": result.best_value,
-            "fixed_point": result.fixed_point,
-            "evaluations": result.evaluations,
-        }
-        rows = [row]
-    _emit(run, stamp, rows)
+        columns = [*_k_columns(run.links), "sum_capacity", "fixed_point", "evaluations"]
+        rows = [(*best, result.best_value, result.fixed_point, result.evaluations)]
+    _emit(run, stamp, columns, rows)
     return 0
 
 

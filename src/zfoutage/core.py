@@ -100,9 +100,8 @@ def clamp_probability(value: float) -> float:
     Returns the clamped value.  The running count is read with
     :func:`clamp_count` and cleared with :func:`reset_clamp_count`; a clean
     run of the analytic formulas keeps the count at zero.  The count is of
-    evaluations, not of the values they reach: analytic.success_table
-    evaluates each distinct link term once per call, so an excursion there
-    counts once however many links and allocations share the term.
+    evaluations, not of the values they reach: a link term that
+    analytic.multiset_sum_capacities shares among allocations counts once.
     """
     global _clamp_events
     if not math.isfinite(value):
@@ -121,8 +120,8 @@ def clamp_probability(value: float) -> float:
 def clamp_count() -> int:
     """Number of out-of-tolerance clamps since the last reset.
 
-    One per clamped evaluation: a term that analytic.success_table shares
-    counts once per call.  Its readers only test it against zero.
+    One per clamped evaluation, so a shared link term counts once.  Its
+    readers only test it against zero.
     """
     return _clamp_events
 

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import combinations_with_replacement, islice, product
 
+from . import analytic
 from .analytic import (
     NStarResult,
     link_success_prob,
     min_links_single_stream,
-    success_prob_equal_k,
-    success_table,
+    multiset_sum_capacities,
 )
 from .core import (
     DomainError,
@@ -28,6 +28,7 @@ from .core import (
     SystemConfig,
     check_int,
     check_positive,
+    clamp_probability,
 )
 # Nothing here calls empirical_link_success.  The name stays bound in
 # this module because perfbench's tracer test rebinds and restores it.
@@ -43,8 +44,8 @@ __all__ = [
 
 _OBJECTIVES = ("analytic", "montecarlo")
 
-# Allocations an exhaustive search evaluates together.  Its per-link
-# columns, and the Monte Carlo tables behind them, hold this many values.
+# Allocations an exhaustive Monte Carlo search evaluates together.  Its
+# per-link columns, and the tables behind them, hold this many values.
 _SEARCH_CHUNK = 4096
 
 
@@ -57,8 +58,9 @@ class SearchResult:
     (None in exhaustive mode).  evaluations counts objective values, not
     closed-form or Monte Carlo terms: M per best-response call plus the
     final value in coordinate mode, and the M^N allocation values in
-    exhaustive mode, although the analytic objective shares each distinct
-    link term among them and so evaluates far fewer.
+    exhaustive mode.  The analytic objective evaluates each multiset of
+    stream counts once and copies the value to each of its orderings: an
+    8x4 search makes 480 closed forms for its 65,536 allocations.
     """
 
     best_allocation: StreamAllocation
@@ -119,17 +121,8 @@ def _sum_capacities(
     seed,
     workers,
 ) -> list[float]:
-    """Sum capacity of each allocation in ``allocs``, in order.
-
-    The analytic objective evaluates each distinct link term once, in
-    one success_table call across every link and allocation.
-    """
+    """Sum capacity of each allocation in ``allocs``, in order."""
     # The per-link values and their exact sum are those of an OutageReport.
-    if objective == "analytic":
-        return [
-            math.fsum([config.rate * k * p for k, p in zip(alloc.streams, probs)])
-            for alloc, probs in zip(allocs, success_table(config, allocs))
-        ]
     columns = [
         _link_capacities(config, allocs, link, objective, trials, seed, workers)
         for link in range(config.num_links)
@@ -215,11 +208,18 @@ def maximize_sum_capacity(
             raise SearchBudgetError(
                 f"exhaustive search needs {total} evaluations, budget is {budget}"
             )
-        table = {}
-        candidates = product(range(1, m + 1), repeat=n)
-        while chunk := [StreamAllocation(s) for s in islice(candidates, _SEARCH_CHUNK)]:
-            values = _sum_capacities(config, chunk, objective, trials, seed, workers)
-            table.update(zip((alloc.streams for alloc in chunk), values))
+        streams = range(1, m + 1)
+        candidates = product(streams, repeat=n)
+        if objective == "analytic":
+            multisets = list(combinations_with_replacement(streams, n))
+            values = dict(zip(multisets, multiset_sum_capacities(config, multisets)))
+            table = {s: values[tuple(sorted(s))] for s in candidates}
+        else:
+            table = {}
+            while chunk := list(islice(candidates, _SEARCH_CHUNK)):
+                allocs = list(map(StreamAllocation, chunk))
+                sums = _sum_capacities(config, allocs, objective, trials, seed, workers)
+                table.update(zip(chunk, sums))
         best = _first_max(table, table.get)
         return SearchResult(
             best_allocation=StreamAllocation(best),
@@ -292,13 +292,16 @@ def empirical_threshold(
     window = check_int("window", window, 0)
     cap = check_int("cap", cap, 2)
 
+    def capacity(n: int, k: int) -> float:
+        # success_prob_equal_k, bit for bit, without its argument checks.
+        groups = [(float((n - 1) * k_other), k_other)]
+        prob = analytic._series_sum(num_antennas - k, beta * k, groups)
+        return k * clamp_probability(prob)
+
     streams = range(1, num_antennas + 1)
     run_start = None
     for n in range(2, cap + window + 1):
-        best_k = _first_max(
-            streams,
-            lambda k: k * success_prob_equal_k(num_antennas, n, k, k_other, beta),
-        )
+        best_k = _first_max(streams, lambda k: capacity(n, k))
         if best_k == 1:
             if run_start is None:
                 run_start = n

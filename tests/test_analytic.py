@@ -21,9 +21,9 @@ from zfoutage.analytic import (
     gamma_approx_params,
     link_success_prob,
     min_links_single_stream,
+    multiset_sum_capacities,
     success_prob_equal_k,
     success_prob_general,
-    success_table,
     sum_capacity_analytic,
 )
 from zfoutage.core import (
@@ -414,8 +414,9 @@ class TestExactMixedInterferers:
 class TestPermutationInvariance:
     """A link's value depends only on k_self and the others' multiset.
 
-    success_table shares one evaluation among every link and allocation
-    with the same pair, which is exact only if this holds bit for bit.
+    multiset_sum_capacities evaluates each pair once for every allocation
+    that orders the multiset, which is exact only if this holds bit for
+    bit.
     """
 
     def test_reordering_the_links_changes_no_bit(self):
@@ -445,34 +446,39 @@ class TestPermutationInvariance:
 
 
 class TestSuccessTable:
+    """multiset_sum_capacities, the sum-capacity table the search reads.
+
+    Each value is the exact sum of the per-link values, bit for bit.
+    """
+
     @pytest.mark.parametrize("n, m", [(2, 1), (3, 3), (4, 3), (5, 2), (3, 5)])
     def test_rows_are_the_per_link_values(self, n, m):
         cfg = SystemConfig(n, m, 0.7, rate=1.5)
         allocs = [StreamAllocation(s) for s in product(range(1, m + 1), repeat=n)]
-        # Any order, with repeats: rows follow the list.
+        # Any order, with repeats: values follow the list.
         allocs += random.Random(n * m).sample(allocs, len(allocs) // 2)
-        rows = success_table(cfg, allocs)
-        assert len(rows) == len(allocs)
-        for alloc, row in zip(allocs, rows):
+        values = multiset_sum_capacities(cfg, [alloc.streams for alloc in allocs])
+        assert len(values) == len(allocs)
+        for alloc, value in zip(allocs, values):
             expected = tuple(link_success_prob(cfg, alloc, link) for link in range(n))
-            assert [p.hex() for p in row] == [p.hex() for p in expected]
+            capacities = [cfg.rate * k * p for k, p in zip(alloc.streams, expected)]
+            assert value.hex() == math.fsum(capacities).hex()
             assert sum_capacity_analytic(cfg, alloc) == OutageReport.from_success(
                 cfg, alloc, expected
             )
 
     def test_empty_list(self):
-        assert success_table(SystemConfig(2, 2, 1.0), []) == []
+        assert multiset_sum_capacities(SystemConfig(2, 2, 1.0), []) == []
 
     @pytest.mark.parametrize(
         "streams", [(1, 2, 3), (1, 2), (2, 2, 1, 1)], ids=["range", "short", "long"]
     )
     def test_every_allocation_is_validated(self, streams):
         cfg = SystemConfig(3, 2, 1.0)
-        bad = StreamAllocation(streams)
         with pytest.raises(DomainError):
-            success_table(cfg, [StreamAllocation((1, 2, 2)), bad])
+            multiset_sum_capacities(cfg, [(1, 2, 2), streams])
         with pytest.raises(DomainError):
-            sum_capacity_analytic(cfg, bad)
+            sum_capacity_analytic(cfg, StreamAllocation(streams))
 
 
 class TestSumCapacity:

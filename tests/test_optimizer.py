@@ -1,6 +1,7 @@
 """Best responses, allocation search, and the empirical link threshold."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -127,9 +128,9 @@ class TestExhaustiveSearch:
         assert len(res.per_candidate_values) == 27
         assert res.evaluations == 27
 
-    def test_each_distinct_link_term_evaluated_once(self, monkeypatch):
-        # 4 own stream counts times C(8, 5) = 56 multisets of the five
-        # other links' counts, against 6 * 4**6 = 24,576 per-link terms.
+    @staticmethod
+    def _search_counting_terms(monkeypatch, config):
+        """The exhaustive analytic search, and the closed forms it made."""
         calls = 0
         series_sum = analytic._series_sum
 
@@ -139,9 +140,39 @@ class TestExhaustiveSearch:
             return series_sum(*args)
 
         monkeypatch.setattr(analytic, "_series_sum", counting)
-        res = maximize_sum_capacity(SystemConfig(6, 4, 1.3))
+        return maximize_sum_capacity(config), calls
+
+    def test_each_distinct_link_term_evaluated_once(self, monkeypatch):
+        # 4 own stream counts times C(8, 5) = 56 multisets of the five
+        # other links' counts, against 6 * 4**6 = 24,576 per-link terms.
+        res, calls = self._search_counting_terms(monkeypatch, SystemConfig(6, 4, 1.3))
         assert calls == 224
         assert res.evaluations == len(res.per_candidate_values) == 4**6
+
+    def test_terms_shared_across_the_whole_search(self, monkeypatch):
+        # 4 * C(10, 7) = 480 terms for 65,536 allocations, more than one
+        # Monte Carlo chunk holds: no memo ends at a chunk border.
+        res, calls = self._search_counting_terms(monkeypatch, SystemConfig(8, 4, 1.3))
+        assert calls == 480
+        assert res.evaluations == len(res.per_candidate_values) == 4**8
+
+    @pytest.mark.parametrize("beta", [0.3, 1.3, 5.0])
+    def test_table_is_each_allocations_sum_capacity(self, beta):
+        # Every allocation of every grid point, bit for bit, and the best
+        # is the lexicographically smallest allocation with the top value.
+        for n, m in product(range(2, 7), range(1, 5)):
+            cfg = SystemConfig(n, m, beta, rate=1.7)
+            res = maximize_sum_capacity(cfg)
+            table = res.per_candidate_values
+            assert list(table) == list(product(range(1, m + 1), repeat=n))
+            for streams, value in table.items():
+                report = sum_capacity_analytic(cfg, StreamAllocation(streams))
+                assert value.hex() == report.sum_capacity.hex(), (n, m, streams)
+            top = max(table.values())
+            assert res.best_value == top
+            assert res.best_allocation.streams == min(
+                streams for streams, value in table.items() if value == top
+            )
 
     def test_table_invariants(self):
         cfg = SystemConfig(2, 3, 0.7)
