@@ -93,6 +93,22 @@ def _series_sum(
     return math.fsum(dist)
 
 
+def _success(
+    num_antennas: int, k_self: int, beta: float, groups: Sequence[tuple[float, float]]
+) -> float:
+    """P(SIR >= beta) for one stream of k_self against ``groups``, clamped."""
+    return clamp_probability(_series_sum(num_antennas - k_self, beta * k_self, groups))
+
+
+def _success_equal_k(
+    num_antennas: int, num_links: int, k_self: int, k_other: int, beta: float
+) -> float:
+    """success_prob_equal_k, bit for bit, without its argument checks."""
+    return _success(
+        num_antennas, k_self, beta, [(float((num_links - 1) * k_other), k_other)]
+    )
+
+
 def success_prob_equal_k(
     num_antennas: int,
     num_links: int,
@@ -110,10 +126,7 @@ def success_prob_equal_k(
     k_self = check_int("k_self", k_self, 1, num_antennas)
     k_other = check_int("k_other", k_other, 1, num_antennas)
     check_positive("beta", beta)
-
-    groups = [(float((num_links - 1) * k_other), k_other)]
-    total = _series_sum(num_antennas - k_self, beta * k_self, groups)
-    return clamp_probability(total)
+    return _success_equal_k(num_antennas, num_links, k_self, k_other, beta)
 
 
 @dataclass(frozen=True)
@@ -195,9 +208,7 @@ def success_prob_general(
 
     weights = [1.0 / k for k in others for _ in range(k)]
     params = gamma_approx_params(weights)
-    groups = [(params.shape, params.rate)]
-    total = _series_sum(num_antennas - k_self, beta * k_self, groups)
-    return clamp_probability(total)
+    return _success(num_antennas, k_self, beta, [(params.shape, params.rate)])
 
 
 @dataclass(frozen=True)
@@ -306,8 +317,23 @@ def link_success_prob(
     others = alloc.others(link)
     k_self = alloc.streams[link]
     groups = [(float(others.count(k) * k), k) for k in sorted(set(others))]
-    s = config.sir_threshold * k_self
-    return clamp_probability(_series_sum(config.num_antennas - k_self, s, groups))
+    return _success(config.num_antennas, k_self, config.sir_threshold, groups)
+
+
+def _success_by_count(
+    config: SystemConfig, alloc: StreamAllocation
+) -> dict[int, float]:
+    """link_success_prob of each distinct stream count of ``alloc``.
+
+    A link's value depends only on its own count k and the multiset of
+    the others' counts, so every link that runs k has the value of the
+    first one, bit for bit: one closed form per distinct k.
+    """
+    streams = alloc.streams
+    return {
+        k: link_success_prob(config, alloc, streams.index(k))
+        for k in dict.fromkeys(streams)
+    }
 
 
 def multiset_sum_capacities(
@@ -315,22 +341,16 @@ def multiset_sum_capacities(
 ) -> list[float]:
     """Sum capacity of each multiset of the links' stream counts, in order.
 
-    A link's value depends only on its own count k and the multiset of
-    the others' counts, so a multiset is worth the same under every order
-    of its links.  Each distinct k is evaluated once; its capacity
-    rate*k*P enters the math.fsum once per link that runs k, which gives
-    bit for bit the sum_capacity_analytic value of every allocation that
-    orders the multiset.  Every multiset is validated as an allocation.
+    A multiset is worth the same under every order of its links, so each
+    value is bit for bit the sum_capacity_analytic value of every
+    allocation that orders the multiset.  Every multiset is validated as
+    an allocation.
     """
     values = []
     for multiset in multisets:
         alloc = StreamAllocation(multiset)
-        streams = alloc.streams
-        capacity = {
-            k: config.rate * k * link_success_prob(config, alloc, streams.index(k))
-            for k in dict.fromkeys(streams)
-        }
-        values.append(math.fsum(map(capacity.__getitem__, streams)))
+        prob = _success_by_count(config, alloc)
+        values.append(math.fsum(config.rate * k * prob[k] for k in alloc.streams))
     return values
 
 
@@ -338,5 +358,5 @@ def sum_capacity_analytic(
     config: SystemConfig, alloc: StreamAllocation
 ) -> OutageReport:
     """Per-link success probabilities and capacities for one allocation."""
-    probs = [link_success_prob(config, alloc, link) for link in range(alloc.num_links)]
-    return OutageReport.from_success(config, alloc, probs)
+    prob = _success_by_count(config, alloc)
+    return OutageReport.from_success(config, alloc, [prob[k] for k in alloc.streams])

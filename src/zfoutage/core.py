@@ -100,8 +100,9 @@ def clamp_probability(value: float) -> float:
     Returns the clamped value.  The running count is read with
     :func:`clamp_count` and cleared with :func:`reset_clamp_count`; a clean
     run of the analytic formulas keeps the count at zero.  The count is of
-    evaluations, not of the values they reach: a link term that
-    analytic.multiset_sum_capacities shares among allocations counts once.
+    evaluations, not of the values they reach: the links of one
+    allocation that run the same stream count share one closed form, so
+    their clamp counts once.
     """
     global _clamp_events
     if not math.isfinite(value):
@@ -120,8 +121,8 @@ def clamp_probability(value: float) -> float:
 def clamp_count() -> int:
     """Number of out-of-tolerance clamps since the last reset.
 
-    One per clamped evaluation, so a shared link term counts once.  Its
-    readers only test it against zero.
+    One per clamped evaluation, so a stream count shared by links of one
+    allocation counts once.  Its readers only test it against zero.
     """
     return _clamp_events
 
@@ -162,29 +163,6 @@ class SystemConfig:
                 "rate * num_links * num_antennas must be finite, got "
                 f"{self.rate!r} * {self.num_links} * {self.num_antennas}"
             )
-
-    @classmethod
-    def from_rate(
-        cls, num_links: int, num_antennas: int, rate: float
-    ) -> "SystemConfig":
-        """Build a config whose SIR threshold is 2**rate - 1.
-
-        With this choice a stream at rate R is in outage exactly when the
-        ZF output cannot support R, so threshold and rate move together.
-        """
-        check_positive("rate", rate)
-        try:
-            threshold = 2.0**rate - 1.0
-        except OverflowError:
-            raise DomainError(
-                f"rate {rate!r} is too large: 2**rate overflows"
-            ) from None
-        return cls(
-            num_links=num_links,
-            num_antennas=num_antennas,
-            sir_threshold=threshold,
-            rate=rate,
-        )
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from .analytic import (
     link_success_prob,
     min_links_single_stream,
     multiset_sum_capacities,
+    sum_capacity_analytic,
 )
 from .core import (
     DomainError,
@@ -28,11 +29,11 @@ from .core import (
     SystemConfig,
     check_int,
     check_positive,
-    clamp_probability,
 )
 # Nothing here calls empirical_link_success.  The name stays bound in
 # this module because perfbench's tracer test rebinds and restores it.
-from .montecarlo import empirical_link_success, link_success_table  # noqa: F401
+from .montecarlo import empirical_link_success  # noqa: F401
+from .montecarlo import empirical_outage, link_success_table
 
 __all__ = [
     "SearchResult",
@@ -61,6 +62,9 @@ class SearchResult:
     exhaustive mode.  The analytic objective evaluates each multiset of
     stream counts once and copies the value to each of its orderings: an
     8x4 search makes 480 closed forms for its 65,536 allocations.
+    Coordinate mode's best_value is the sum_capacity of
+    sum_capacity_analytic or empirical_outage for best_allocation, the
+    number ``zfoutage capacity`` prints for it.
     """
 
     best_allocation: StreamAllocation
@@ -111,23 +115,6 @@ def _link_capacities(
         table = link_success_table(config, allocs, link, trials, seed, workers=workers)
         probs = [est.prob for est in table]
     return [config.rate * alloc.streams[link] * p for alloc, p in zip(allocs, probs)]
-
-
-def _sum_capacities(
-    config: SystemConfig,
-    allocs: list[StreamAllocation],
-    objective: str,
-    trials,
-    seed,
-    workers,
-) -> list[float]:
-    """Sum capacity of each allocation in ``allocs``, in order."""
-    # The per-link values and their exact sum are those of an OutageReport.
-    columns = [
-        _link_capacities(config, allocs, link, objective, trials, seed, workers)
-        for link in range(config.num_links)
-    ]
-    return [math.fsum(row) for row in zip(*columns)]
 
 
 def _first_max(candidates, value):
@@ -218,8 +205,14 @@ def maximize_sum_capacity(
             table = {}
             while chunk := list(islice(candidates, _SEARCH_CHUNK)):
                 allocs = list(map(StreamAllocation, chunk))
-                sums = _sum_capacities(config, allocs, objective, trials, seed, workers)
-                table.update(zip(chunk, sums))
+                # Each row is summed as an OutageReport sums its links.
+                columns = [
+                    _link_capacities(
+                        config, allocs, link, objective, trials, seed, workers
+                    )
+                    for link in range(n)
+                ]
+                table.update(zip(chunk, map(math.fsum, zip(*columns))))
         best = _first_max(table, table.get)
         return SearchResult(
             best_allocation=StreamAllocation(best),
@@ -251,11 +244,14 @@ def maximize_sum_capacity(
             if not changed:
                 fixed_point = True
                 break
-        [value] = _sum_capacities(config, [alloc], objective, trials, seed, workers)
+        if objective == "analytic":
+            report = sum_capacity_analytic(config, alloc)
+        else:
+            report = empirical_outage(config, alloc, trials, seed, workers=workers)
         evaluations += 1
         return SearchResult(
             best_allocation=alloc,
-            best_value=value,
+            best_value=report.sum_capacity,
             evaluations=evaluations,
             fixed_point=fixed_point,
         )
@@ -293,10 +289,7 @@ def empirical_threshold(
     cap = check_int("cap", cap, 2)
 
     def capacity(n: int, k: int) -> float:
-        # success_prob_equal_k, bit for bit, without its argument checks.
-        groups = [(float((n - 1) * k_other), k_other)]
-        prob = analytic._series_sum(num_antennas - k, beta * k, groups)
-        return k * clamp_probability(prob)
+        return k * analytic._success_equal_k(num_antennas, n, k, k_other, beta)
 
     streams = range(1, num_antennas + 1)
     run_start = None

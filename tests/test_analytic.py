@@ -483,10 +483,24 @@ class TestSuccessTable:
 
 class TestSumCapacity:
     def test_symmetric_pair(self):
-        cfg = SystemConfig.from_rate(2, 1, 1.0)
+        cfg = SystemConfig(2, 1, 2**1.0 - 1, 1.0)
         report = sum_capacity_analytic(cfg, StreamAllocation((1, 1)))
         np.testing.assert_allclose(report.sum_capacity, 1.0, rtol=1e-14)
         assert report.per_link_success_prob == (0.5, 0.5)
+
+    @pytest.mark.parametrize(
+        "streams, closed_forms", [((1,) * 30, 1), ((3, 1, 2, 1, 3, 1), 3)]
+    )
+    def test_one_closed_form_per_distinct_count(
+        self, count_closed_forms, streams, closed_forms
+    ):
+        cfg = SystemConfig(len(streams), 10, 1.0)
+        alloc = StreamAllocation(streams)
+        report, calls = count_closed_forms(sum_capacity_analytic, cfg, alloc)
+        assert calls == closed_forms
+        assert report.per_link_success_prob == tuple(
+            link_success_prob(cfg, alloc, link) for link in range(len(streams))
+        )
 
     def test_sum_is_definitional(self):
         cfg = SystemConfig(3, 3, 1.0, rate=2.0)

@@ -1,6 +1,7 @@
 """The public surface: every exported name is used by the package itself."""
 
 import ast
+import inspect
 import pathlib
 
 import zfoutage
@@ -23,10 +24,33 @@ def _names_used(path: pathlib.Path) -> set[str]:
     return used
 
 
-def test_every_export_has_a_caller_in_the_package():
-    # Code that only the tests call belongs in tests/.
+def _package_uses() -> set[str]:
     used = set()
     for path in _SRC.glob("*.py"):
         if path.name != "__init__.py":
             used |= _names_used(path)
-    assert sorted(set(zfoutage.__all__) - used) == []
+    return used
+
+
+def test_every_export_has_a_caller_in_the_package():
+    # Code that only the tests call belongs in tests/.
+    assert sorted(set(zfoutage.__all__) - _package_uses()) == []
+
+
+def test_every_public_member_of_an_exported_class_has_a_caller():
+    # Methods, classmethods, staticmethods and properties count; a use is
+    # an attribute of that name anywhere in the package, so two members
+    # sharing one name share their callers.
+    used = _package_uses()
+    unused = []
+    for name in zfoutage.__all__:
+        cls = getattr(zfoutage, name)
+        if not inspect.isclass(cls):
+            continue
+        for member, value in vars(cls).items():
+            is_callable = isinstance(
+                value, (property, classmethod, staticmethod)
+            ) or inspect.isfunction(value)
+            if is_callable and not member.startswith("_") and member not in used:
+                unused.append(f"{name}.{member}")
+    assert sorted(unused) == []

@@ -123,19 +123,6 @@ class TestSystemConfig:
         cfg = SystemConfig(3, 4, 2.0, 1.5)
         assert (cfg.num_links, cfg.num_antennas) == (3, 4)
 
-    def test_from_rate(self):
-        cfg = SystemConfig.from_rate(2, 1, 1.0)
-        assert cfg.sir_threshold == 1.0
-        assert cfg.rate == 1.0
-        cfg2 = SystemConfig.from_rate(2, 1, 2.0)
-        assert cfg2.sir_threshold == 3.0
-
-    @pytest.mark.parametrize("rate", [1024.0, 2000.0, 1e300])
-    def test_from_rate_overflow(self, rate):
-        # 2**rate does not fit a float: an invalid rate, not an OverflowError.
-        with pytest.raises(DomainError):
-            SystemConfig.from_rate(2, 1, rate)
-
     @pytest.mark.parametrize(
         "num_links, num_antennas, rate",
         [(2, 2, 1e308), (3, 2, 1e308), (10**400, 1, 1.0), (2, 10**306, 1000.0)],
@@ -146,11 +133,6 @@ class TestSystemConfig:
         # OverflowError from fsum.
         with pytest.raises(DomainError, match="must be finite"):
             SystemConfig(num_links, num_antennas, 1.0, rate)
-
-    def test_from_rate_capacity_bound_overflow(self):
-        # 2**1000 fits a float, but 1000 * N * M does not.
-        with pytest.raises(DomainError, match="must be finite"):
-            SystemConfig.from_rate(2, 10**306, 1000.0)
 
     @pytest.mark.parametrize(
         "kwargs",

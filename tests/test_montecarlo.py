@@ -480,7 +480,7 @@ class TestMarginals:
 
 class TestOutageEstimates:
     def test_matches_analytic_within_error(self):
-        cfg = SystemConfig.from_rate(8, 4, 1.0)
+        cfg = SystemConfig(8, 4, 2**1.0 - 1, 1.0)
         alloc = StreamAllocation.uniform(8, 1)
         report = empirical_outage(cfg, alloc, 100_000, seed=42)
         exact = sum_capacity_analytic(cfg, alloc)

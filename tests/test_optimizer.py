@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from zfoutage import analytic, optimizer
+from zfoutage import optimizer
 from zfoutage.analytic import (
     link_success_prob,
     min_links_single_stream,
@@ -18,7 +18,7 @@ from zfoutage.core import (
     StreamAllocation,
     SystemConfig,
 )
-from zfoutage.montecarlo import empirical_link_success
+from zfoutage.montecarlo import empirical_link_success, empirical_outage
 from zfoutage.optimizer import (
     best_response,
     empirical_threshold,
@@ -114,7 +114,7 @@ class TestBestResponse:
 
 class TestExhaustiveSearch:
     def test_single_candidate(self):
-        cfg = SystemConfig.from_rate(2, 1, 1.0)
+        cfg = SystemConfig(2, 1, 2**1.0 - 1, 1.0)
         res = maximize_sum_capacity(cfg, mode="exhaustive")
         assert res.best_allocation == StreamAllocation((1, 1))
         assert res.evaluations == 1
@@ -128,31 +128,17 @@ class TestExhaustiveSearch:
         assert len(res.per_candidate_values) == 27
         assert res.evaluations == 27
 
-    @staticmethod
-    def _search_counting_terms(monkeypatch, config):
-        """The exhaustive analytic search, and the closed forms it made."""
-        calls = 0
-        series_sum = analytic._series_sum
-
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return series_sum(*args)
-
-        monkeypatch.setattr(analytic, "_series_sum", counting)
-        return maximize_sum_capacity(config), calls
-
-    def test_each_distinct_link_term_evaluated_once(self, monkeypatch):
+    def test_each_distinct_link_term_evaluated_once(self, count_closed_forms):
         # 4 own stream counts times C(8, 5) = 56 multisets of the five
         # other links' counts, against 6 * 4**6 = 24,576 per-link terms.
-        res, calls = self._search_counting_terms(monkeypatch, SystemConfig(6, 4, 1.3))
+        res, calls = count_closed_forms(maximize_sum_capacity, SystemConfig(6, 4, 1.3))
         assert calls == 224
         assert res.evaluations == len(res.per_candidate_values) == 4**6
 
-    def test_terms_shared_across_the_whole_search(self, monkeypatch):
+    def test_terms_shared_across_the_whole_search(self, count_closed_forms):
         # 4 * C(10, 7) = 480 terms for 65,536 allocations, more than one
         # Monte Carlo chunk holds: no memo ends at a chunk border.
-        res, calls = self._search_counting_terms(monkeypatch, SystemConfig(8, 4, 1.3))
+        res, calls = count_closed_forms(maximize_sum_capacity, SystemConfig(8, 4, 1.3))
         assert calls == 480
         assert res.evaluations == len(res.per_candidate_values) == 4**8
 
@@ -280,11 +266,28 @@ class TestCoordinateSearch:
                     assert co.best_value <= ex.best_value * (1 + 1e-12)
                     assert math.isclose(co.best_value, ex.best_value, rel_tol=1e-9)
 
-    def test_value_matches_reported_allocation(self):
+    @pytest.mark.parametrize("objective", ["analytic", "montecarlo"])
+    def test_value_matches_reported_allocation(self, objective):
+        # The value `zfoutage capacity` prints for the allocation, bit for bit.
         cfg = SystemConfig(3, 3, 1.0)
-        res = maximize_sum_capacity(cfg, mode="coordinate")
-        report = sum_capacity_analytic(cfg, res.best_allocation)
-        assert res.best_value == report.sum_capacity
+        mc = dict(trials=3000, seed=2, workers=2)
+        if objective == "analytic":
+            res = maximize_sum_capacity(cfg, mode="coordinate")
+            report = sum_capacity_analytic(cfg, res.best_allocation)
+        else:
+            res = maximize_sum_capacity(cfg, mode="coordinate", objective=objective, **mc)
+            report = empirical_outage(cfg, res.best_allocation, **mc)
+        assert res.best_value.hex() == report.sum_capacity.hex()
+
+    @pytest.mark.parametrize("beta", [0.25, 1.0])
+    def test_final_value_is_one_closed_form(self, count_closed_forms, beta):
+        # One sweep of 30 links times 10 candidates from the all-ones
+        # fixed point, then one closed form for the 30 equal links.
+        cfg = SystemConfig(30, 10, beta)
+        res, calls = count_closed_forms(maximize_sum_capacity, cfg, mode="coordinate")
+        assert res.best_allocation == StreamAllocation.uniform(30, 1)
+        assert res.fixed_point is True
+        assert calls == 30 * 10 + 1
 
     def test_sweep_budget_reported(self):
         # This config moves away from all-ones on the first sweep, so a
