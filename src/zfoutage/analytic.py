@@ -261,6 +261,7 @@ def min_links_single_stream(
     num_antennas = check_int("num_antennas", num_antennas, 1)
     check_positive("beta", beta)
     k_other = check_int("k_other", k_other, 1, num_antennas)
+    cap = check_int("cap", cap, 2)
 
     k = float(k_other)
     spread = math.log1p(k / beta)  # -log(beta / (k + beta))

@@ -21,11 +21,12 @@ worker counts.  Exit codes: 0 success, 2 invalid scenario or arguments,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from itertools import chain
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import analytic, montecarlo, optimizer
 from .core import (
@@ -40,31 +41,79 @@ from .core import (
     reset_clamp_count,
 )
 
-_BACKENDS = ("analytic", "mc", "both")
-_FORMATS = ("csv", "json")
 # The optimizer objective of each single backend.
 _OBJECTIVES = {"analytic": "analytic", "mc": "montecarlo"}
 
-# Every optional value of every subcommand.  _COMMAND_DEFAULTS replaces
-# the few that differ for one command or figure; a config file and then
+
+def _parse_bool(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise DomainError(f"expected a boolean, got {text!r}")
+
+
+class _Option(NamedTuple):
+    """An option's default, how to read its value, and its help.
+
+    ``kind`` reads a value from text, or one entry of it when
+    ``list_error`` is set: the value is then a comma-separated list, and
+    ``list_error`` the message for a bad entry.  A flag whose ``kind`` is
+    ``_parse_bool`` takes no value.  ``file=False`` keeps the option out
+    of config files.  The parser adds the default to ``help``.
+    """
+
+    default: object
+    kind: Callable[[str], object]
+    help: str
+    choices: tuple | None = None
+    list_error: str | None = None
+    metavar: str | None = None
+    file: bool = True
+
+
+_BAD_LIST = "expected comma-separated values"
+
+# Every option of every subcommand.  _COMMAND_DEFAULTS replaces the few
+# defaults that differ for one command or figure; a config file and then
 # explicit flags override both.
-_DEFAULTS = {
-    "beta": 1.0,
-    "rate": 1.0,
-    "alloc": None,
-    "alloc_sweep": False,
-    "backend": "analytic",
-    "trials": 100_000,
-    "seed": 0,
-    "workers": None,  # every CPU
-    "out": None,
-    "format": "csv",
-    "k_other": 1,
-    "window": 5,
-    "cap": 10_000,
-    "mode": "exhaustive",
-    "budget": 1_000_000,
-    "max_sweeps": 50,
+_OPTIONS = {
+    "config": _Option(None, str, "key=value scenario file", file=False),
+    "links": _Option(None, int, "number of links N"),
+    "antennas": _Option(None, int, "antennas per node M"),
+    "beta": _Option(1.0, float, "SIR threshold"),
+    "rate_to_beta": _Option(
+        None, float, "set beta = 2**R - 1 (and rate = R unless --rate is given)",
+        metavar="R",
+    ),
+    "rate": _Option(1.0, float, "per-stream rate R"),
+    "n_list": _Option(None, int, "fig1 link counts, e.g. 5,10,30", list_error=_BAD_LIST),
+    "beta_list": _Option(
+        None, float, "fig2 thresholds, e.g. 0.25,1,4", list_error=_BAD_LIST
+    ),
+    "backend": _Option(
+        "analytic", str, "computation backend", choices=("analytic", "mc", "both")
+    ),
+    "trials": _Option(100_000, int, "Monte Carlo trials per estimate"),
+    "seed": _Option(0, int, "Monte Carlo seed"),
+    "workers": _Option(None, int, "parallel workers (default: every CPU)"),
+    "out": _Option(None, str, "output path (default stdout)"),
+    "format": _Option("csv", str, "output format", choices=("csv", "json")),
+    "alloc": _Option(
+        None, int, "stream counts k1,k2,... (default all 1)",
+        list_error="alloc must be comma-separated integers",
+    ),
+    "alloc_sweep": _Option(False, _parse_bool, "tabulate every allocation, not one"),
+    "k_other": _Option(1, int, "streams of every other link"),
+    "window": _Option(5, int, "stability window"),
+    "cap": _Option(10_000, int, "scan cap"),
+    "mode": _Option(
+        "exhaustive", str, "search mode", choices=("exhaustive", "coordinate"),
+        file=False,
+    ),
+    "budget": _Option(1_000_000, int, "exhaustive candidate budget", file=False),
+    "max_sweeps": _Option(50, int, "coordinate-descent sweep limit", file=False),
 }
 
 _COMMAND_DEFAULTS = {
@@ -72,13 +121,6 @@ _COMMAND_DEFAULTS = {
     "fig1": {"antennas": 10, "n_list": (5, 10, 15, 20, 30)},
     "fig2": {"antennas": 5, "links": 5, "beta_list": (0.25, 0.5, 1.0, 2.0, 4.0)},
     "fig3": {"antennas": 3, "links": 3},
-}
-
-# Comma-separated flags: element type, and the message for a bad entry.
-_LISTS = {
-    "alloc": (int, "alloc must be comma-separated integers"),
-    "n_list": (int, "expected comma-separated values"),
-    "beta_list": (float, "expected comma-separated values"),
 }
 
 # Figure flags, and the figures that read them.
@@ -104,43 +146,23 @@ _LINK_CELLS = {
 _SCENARIO_STAMP = ("links", "antennas", "beta", "rate", "backend")
 
 
-def _parse_list(key: str, text: str) -> tuple:
-    kind, message = _LISTS[key]
+def _read_value(key: str, text: str):
+    """``text`` as a value of option ``key``."""
+    option = _OPTIONS[key]
+    if option.list_error is None:
+        return option.kind(text)
     try:
-        return tuple(kind(part) for part in text.split(","))
+        return tuple(option.kind(part) for part in text.split(","))
     except ValueError:
-        raise DomainError(f"{message}, got {text!r}")
+        raise DomainError(f"{option.list_error}, got {text!r}")
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise DomainError(f"expected a boolean, got {text!r}")
+def _load_config_file(path: str, keys) -> dict:
+    """Parse a key=value scenario file that sets options among ``keys``.
 
-
-# Keys a scenario config file may set, with their parsers.
-_FILE_KEYS = {
-    "links": int,
-    "antennas": int,
-    "beta": float,
-    "rate": float,
-    "rate_to_beta": float,
-    "alloc": lambda text: _parse_list("alloc", text),
-    "alloc_sweep": _parse_bool,
-    "backend": str,
-    "trials": int,
-    "seed": int,
-    "workers": int,
-    "out": str,
-    "format": str,
-}
-
-
-def _load_config_file(path: str) -> dict:
-    """Parse a key=value scenario file; errors carry line numbers."""
+    Errors carry line numbers, except a bad list or boolean, whose
+    message names the value.
+    """
     values: dict = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -156,10 +178,10 @@ def _load_config_file(path: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip().lower().replace("-", "_")
         value = value.strip()
-        if key not in _FILE_KEYS:
+        if key not in keys or key not in _OPTIONS or not _OPTIONS[key].file:
             raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _FILE_KEYS[key](value)
+            values[key] = _read_value(key, value)
         except DomainError:
             # A DomainError is also a ValueError, and already names the value.
             raise
@@ -167,10 +189,9 @@ def _load_config_file(path: str) -> dict:
             raise DomainError(f"{path}:{lineno}: bad value {value!r} for {key!r}")
     if "beta" in values and "rate_to_beta" in values:
         raise DomainError(f"{path}: sets both beta and rate_to_beta")
-    if "backend" in values and values["backend"] not in _BACKENDS:
-        raise DomainError(f"{path}: backend must be one of {_BACKENDS}")
-    if "format" in values and values["format"] not in _FORMATS:
-        raise DomainError(f"{path}: format must be one of {_FORMATS}")
+    for key, option in _OPTIONS.items():
+        if option.choices and key in values and values[key] not in option.choices:
+            raise DomainError(f"{path}: {key} must be one of {option.choices}")
     return values
 
 
@@ -181,9 +202,10 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     a config file (capacity, optimize) have no built-in scenario, so they
     need links and antennas from the file or the flags.
     """
-    merged: dict = dict(_DEFAULTS)
+    merged = {key: option.default for key, option in _OPTIONS.items()}
     merged.update(_COMMAND_DEFAULTS.get(getattr(args, "which", args.command), {}))
-    file_vals = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    config = getattr(args, "config", None)
+    file_vals = _load_config_file(config, vars(args)) if config else {}
     merged.update(file_vals)
 
     flags = {key: value for key, value in vars(args).items() if value is not None}
@@ -192,11 +214,11 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
             if key in flags and args.which not in figures:
                 flag = "--" + key.replace("_", "-")
                 raise DomainError(f"{flag} does not apply to {args.which}")
-    for key in _LISTS:
-        if key not in flags:
+    for key, option in _OPTIONS.items():
+        if option.list_error is None or key not in flags:
             continue
         if flags[key] or key == "alloc":
-            flags[key] = _parse_list(key, flags[key])
+            flags[key] = _read_value(key, flags[key])
         else:
             del flags[key]  # an empty figure list keeps the default list
     # A threshold given on the command line replaces one from the file,
@@ -328,6 +350,7 @@ def _allocation_sweep(
 
 
 def cmd_capacity(run: argparse.Namespace) -> int:
+    """Per-link capacities for one scenario."""
     config = SystemConfig(run.links, run.antennas, run.beta, run.rate)
     stamp = _stamp(run, *_SCENARIO_STAMP)
 
@@ -369,6 +392,7 @@ def cmd_capacity(run: argparse.Namespace) -> int:
 
 
 def cmd_figure(run: argparse.Namespace) -> int:
+    """Reproduce a standard dataset."""
     stamp = _stamp(run, "which", "antennas", "rate", "backend")
     if run.which == "fig3":
         stamp["links"] = run.links
@@ -428,6 +452,7 @@ def cmd_figure(run: argparse.Namespace) -> int:
 
 
 def cmd_nstar(run: argparse.Namespace) -> int:
+    """Single-stream link-count thresholds."""
     threshold = optimizer.empirical_threshold(
         run.antennas, run.beta, run.k_other, window=run.window, cap=run.cap
     )
@@ -446,6 +471,7 @@ def cmd_nstar(run: argparse.Namespace) -> int:
 
 
 def cmd_optimize(run: argparse.Namespace) -> int:
+    """Search for the best allocation."""
     if run.backend == "both":
         raise DomainError("optimize takes backend analytic or mc, not both")
     result = optimizer.maximize_sum_capacity(
@@ -586,92 +612,6 @@ def cmd_validate(run: argparse.Namespace) -> int:
     return 3 if failures else 0
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    """Backend, Monte Carlo and output flags of capacity, figure and optimize."""
-    parser.add_argument(
-        "--backend", choices=_BACKENDS, help="computation backend (default analytic)"
-    )
-    parser.add_argument("--trials", type=int, help="Monte Carlo trials per estimate")
-    parser.add_argument("--seed", type=int, help="Monte Carlo seed (default 0)")
-    parser.add_argument(
-        "--workers", type=int, help="parallel workers (default: every CPU)"
-    )
-    parser.add_argument("--out", help="output path (default stdout)")
-    parser.add_argument("--format", choices=_FORMATS, help="output format")
-
-
-def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value scenario file")
-    parser.add_argument("--links", type=int, help="number of links N")
-    parser.add_argument("--antennas", type=int, help="antennas per node M")
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--beta", type=float, help="SIR threshold")
-    group.add_argument(
-        "--rate-to-beta",
-        dest="rate_to_beta",
-        type=float,
-        metavar="R",
-        help="set beta = 2**R - 1 (and rate = R unless --rate is given)",
-    )
-    parser.add_argument("--rate", type=float, help="per-stream rate R (default 1)")
-    _add_run_flags(parser)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="zfoutage",
-        description="Outage capacities of zero-forcing MIMO interference links.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_cap = sub.add_parser("capacity", help="per-link capacities for one scenario")
-    _add_scenario_flags(p_cap)
-    alloc_group = p_cap.add_mutually_exclusive_group()
-    alloc_group.add_argument("--alloc", help="stream counts k1,k2,... (default all 1)")
-    alloc_group.add_argument(
-        "--alloc-sweep",
-        dest="alloc_sweep",
-        action="store_const",
-        const=True,
-        help="tabulate every allocation instead of one",
-    )
-
-    p_fig = sub.add_parser("figure", help="reproduce a standard dataset")
-    p_fig.add_argument("which", choices=("fig1", "fig2", "fig3"))
-    p_fig.add_argument("--antennas", type=int, help="override the default M")
-    p_fig.add_argument("--links", type=int, help="override N (fig2/fig3)")
-    p_fig.add_argument("--beta", type=float, help="override beta (fig1/fig3)")
-    p_fig.add_argument("--rate", type=float, help="per-stream rate (default 1)")
-    p_fig.add_argument("--n-list", dest="n_list", help="fig1 link counts, e.g. 5,10,30")
-    p_fig.add_argument(
-        "--beta-list", dest="beta_list", help="fig2 thresholds, e.g. 0.25,1,4"
-    )
-    _add_run_flags(p_fig)
-
-    p_nstar = sub.add_parser("nstar", help="single-stream link-count thresholds")
-    p_nstar.add_argument("--antennas", type=int, required=True)
-    p_nstar.add_argument("--beta", type=float)
-    p_nstar.add_argument("--k-other", dest="k_other", type=int)
-    p_nstar.add_argument("--window", type=int, help="stability window (default 5)")
-    p_nstar.add_argument("--cap", type=int, help="scan cap (default 10000)")
-    p_nstar.add_argument("--out")
-    p_nstar.add_argument("--format", choices=_FORMATS)
-
-    p_opt = sub.add_parser("optimize", help="search for the best allocation")
-    _add_scenario_flags(p_opt)
-    p_opt.add_argument("--mode", choices=("exhaustive", "coordinate"))
-    p_opt.add_argument("--budget", type=int, help="exhaustive candidate budget")
-    p_opt.add_argument("--max-sweeps", dest="max_sweeps", type=int)
-
-    p_val = sub.add_parser("validate", help="run the cross-backend agreement suite")
-    p_val.add_argument("--trials", type=int, help="trials per check (default 20000)")
-    p_val.add_argument("--seed", type=int)
-    p_val.add_argument("--workers", type=int)
-    p_val.add_argument("--out", help="write the report here instead of stdout")
-
-    return parser
-
-
 # Exit status per error class; the first match wins, so every package
 # error other than these two, a numerical failure among them, exits 3.
 _EXIT_CODES = (
@@ -681,20 +621,72 @@ _EXIT_CODES = (
     (OSError, 2),
 )
 
+_RUN = ("backend", "trials", "seed", "workers", "out", "format")
+_SCENARIO = ("config", "links", "antennas", "beta|rate_to_beta", "rate", *_RUN)
+
+# Each command's function, whose docstring is its help, and its options
+# in --help order; options joined by "|" are mutually exclusive.
 _COMMANDS = {
-    "capacity": cmd_capacity,
-    "figure": cmd_figure,
-    "nstar": cmd_nstar,
-    "optimize": cmd_optimize,
-    "validate": cmd_validate,
+    "capacity": (cmd_capacity, (*_SCENARIO, "alloc|alloc_sweep")),
+    "figure": (
+        cmd_figure, ("antennas", "links", "beta", "rate", "n_list", "beta_list", *_RUN)
+    ),
+    "nstar": (
+        cmd_nstar, ("antennas", "beta", "k_other", "window", "cap", "out", "format")
+    ),
+    "optimize": (cmd_optimize, (*_SCENARIO, "mode", "budget", "max_sweeps")),
+    "validate": (cmd_validate, ("trials", "seed", "workers", "out")),
 }
+
+# Flags a command needs on its command line.  capacity and optimize may
+# take links and antennas from a config file; _resolve checks those.
+_REQUIRED = {("nstar", "antennas")}
+
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of every command, built on first use."""
+    parser = argparse.ArgumentParser(
+        prog="zfoutage",
+        description="Outage capacities of zero-forcing MIMO interference links.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (function, entries) in _COMMANDS.items():
+        p_cmd = sub.add_parser(command, help=function.__doc__)
+        if command == "figure":
+            p_cmd.add_argument("which", choices=("fig1", "fig2", "fig3"))
+        defaults = _COMMAND_DEFAULTS.get(command, {})
+        for entry in entries:
+            keys = entry.split("|")
+            group = p_cmd if len(keys) == 1 else p_cmd.add_mutually_exclusive_group()
+            for key in keys:
+                option = _OPTIONS[key]
+                flag = "--" + key.replace("_", "-")
+                if option.kind is _parse_bool:
+                    group.add_argument(
+                        flag, dest=key, action="store_const", const=True,
+                        help=option.help,
+                    )
+                    continue
+                default = defaults.get(key, option.default)
+                shown = "" if default is None else f" (default {default})"
+                group.add_argument(
+                    flag,
+                    dest=key,
+                    type=None if option.list_error else option.kind,
+                    choices=option.choices,
+                    required=(command, key) in _REQUIRED,
+                    metavar=option.metavar,
+                    help=option.help + shown,
+                )
+    return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](_resolve(args))
+        return _COMMANDS[args.command][0](_resolve(args))
     except (ZfOutageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))

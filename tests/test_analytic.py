@@ -352,6 +352,9 @@ class TestMinLinks:
             min_links_single_stream(2, 1.0, k_other=0)
         with pytest.raises(DomainError):
             min_links_single_stream(True, 1.0)
+        for cap in ("x", 2.5, True, -3, 1):
+            with pytest.raises(DomainError, match="cap must be an int >= 2"):
+                min_links_single_stream(2, 1.0, cap=cap)
 
 
 class TestLinkDispatch:

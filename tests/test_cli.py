@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -80,16 +81,23 @@ class TestCapacityCommand:
         assert stamp["beta"] == "3.0"
         assert stamp["rate"] == "2.0"
 
-    def test_beta_and_rate_to_beta_exclusive(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("capacity", "--links", "2", "--antennas", "1",
+             "--beta", "1", "--rate-to-beta", "1"),
+            ("nstar", "--beta", "1"),
+            ("capacity", "--links", "2", "--antennas", "2",
+             "--alloc", "1,1", "--alloc-sweep"),
+        ],
+        ids=["beta_and_rate_to_beta", "nstar_without_antennas", "alloc_and_sweep"],
+    )
+    def test_beta_and_rate_to_beta_exclusive(self, capsys, argv):
+        # Rejected by the parser itself: usage on stderr, exit 2.
         with pytest.raises(SystemExit) as excinfo:
-            main(
-                [
-                    "capacity", "--links", "2", "--antennas", "1",
-                    "--beta", "1", "--rate-to-beta", "1",
-                ]
-            )
+            main(list(argv))
         assert excinfo.value.code == 2
-        capsys.readouterr()
+        assert capsys.readouterr().err.startswith("usage: zfoutage")
 
     def test_alloc_sweep_table(self, capsys):
         code, out, _ = run_cli(
@@ -222,6 +230,26 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "capacity", "--config", str(cfg))
         assert code == 2
         assert "beta" in err and "rate_to_beta" in err
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("alloc = 1,2,9\n", "alloc"),
+            ("alloc = 1,1\nalloc_sweep = yes\n", "alloc"),
+            ("mode = coordinate\n", "mode"),
+            ("command = capacity\n", "command"),
+            ("config = other.cfg\n", "config"),
+        ],
+        ids=["alloc", "alloc_and_sweep", "mode", "command", "config"],
+    )
+    def test_optimize_rejects_keys_it_does_not_take(self, capsys, tmp_path, text, key):
+        # optimize searches every allocation, so a file may not fix one;
+        # its search flags and the parser's own names are no file keys.
+        cfg = tmp_path / "scen.cfg"
+        cfg.write_text("links = 2\nantennas = 2\n" + text)
+        code, out, err = run_cli(capsys, "optimize", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == f"error: {cfg}:3: unknown key {key!r}\n"
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -632,6 +660,37 @@ class TestExitCodes:
         )
         assert code == 3
         assert "synthetic failure" in err
+
+
+RUN_FLAGS = {"--backend", "--trials", "--seed", "--workers", "--out", "--format"}
+SCENARIO_FLAGS = RUN_FLAGS | {
+    "--help", "--config", "--links", "--antennas", "--beta", "--rate-to-beta", "--rate",
+}
+# Every flag of every subcommand.
+FLAGS = {
+    "capacity": SCENARIO_FLAGS | {"--alloc", "--alloc-sweep"},
+    "figure": RUN_FLAGS | {
+        "--help", "--antennas", "--links", "--beta", "--rate", "--n-list",
+        "--beta-list",
+    },
+    "nstar": {
+        "--help", "--antennas", "--beta", "--k-other", "--window", "--cap", "--out",
+        "--format",
+    },
+    "optimize": SCENARIO_FLAGS | {"--mode", "--budget", "--max-sweeps"},
+    "validate": {"--help", "--trials", "--seed", "--workers", "--out"},
+}
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_names_every_flag(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: zfoutage {command}")
+        assert set(re.findall(r"--[a-z][a-z-]*", out)) == FLAGS[command]
 
 
 SCENARIO_STAMP = ["cmd", "links", "antennas", "beta", "rate", "backend"]

@@ -3,6 +3,7 @@
 Each case runs ``cli.main`` in-process and compares its exit code, its
 stderr and its output (stdout, or the file named by ``--out``) with the
 files ``tests/golden/<case>.out`` and ``tests/golden/<case>.err``.  A
+case with a third entry writes that text to a config file first.  A
 change that must keep the output the same keeps this test green.
 
 A change that alters output on purpose (a new random stream, say)
@@ -31,7 +32,8 @@ from zfoutage.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
-# Case name -> (argv, exit code).  "{out}" stands for a written file.
+# Case name -> (argv, exit code[, config file text]).  "{out}" stands for
+# a written file, "{config}" for the config file.
 CASES = {
     "fig1": (["figure", "fig1"], 0),
     "fig2": (["figure", "fig2"], 0),
@@ -106,6 +108,18 @@ CASES = {
          "--backend", "mc", "--trials", "10000"],
         0,
     ),
+    "capacity_config": (
+        ["capacity", "--config", "{config}", "--seed", "8"],
+        0,
+        "# capacity scenario\nlinks = 3\nantennas = 3\nrate_to_beta = 1.5\n"
+        "alloc = 1,2,1\nbackend = mc\ntrials = 20000\nseed = 7\n",
+    ),
+    "optimize_config": (
+        ["optimize", "--config", "{config}", "--format", "json"],
+        0,
+        "links = 3\nantennas = 2\nrate-to-beta = 0.5\nbackend = mc\n"
+        "trials = 10000\nseed = 13\n",
+    ),
     "error_alloc_range": (
         ["capacity", "--links", "2", "--antennas", "2", "--alloc", "1,3"], 2
     ),
@@ -115,9 +129,15 @@ CASES = {
 
 def run_case(name: str, directory: pathlib.Path) -> tuple[int, bytes, bytes]:
     """Exit code, output bytes and stderr bytes of one case."""
-    argv, _ = CASES[name]
+    argv, _, *config = CASES[name]
     out_path = directory / f"{name}.written"
-    argv = [arg.replace("{out}", str(out_path)) for arg in argv]
+    config_path = directory / f"{name}.cfg"
+    if config:
+        config_path.write_text(config[0], encoding="utf-8")
+    argv = [
+        arg.replace("{out}", str(out_path)).replace("{config}", str(config_path))
+        for arg in argv
+    ]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
