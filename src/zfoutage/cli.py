@@ -160,8 +160,7 @@ def _read_value(key: str, text: str):
 def _load_config_file(path: str, keys) -> dict:
     """Parse a key=value scenario file that sets options among ``keys``.
 
-    Errors carry line numbers, except a bad list or boolean, whose
-    message names the value.
+    Every error about one line, its key or its value, names the line.
     """
     values: dict = {}
     try:
@@ -182,16 +181,16 @@ def _load_config_file(path: str, keys) -> dict:
             raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
         try:
             values[key] = _read_value(key, value)
-        except DomainError:
+        except DomainError as exc:
             # A DomainError is also a ValueError, and already names the value.
-            raise
+            raise DomainError(f"{path}:{lineno}: {exc}") from None
         except ValueError:
             raise DomainError(f"{path}:{lineno}: bad value {value!r} for {key!r}")
+        choices = _OPTIONS[key].choices
+        if choices and values[key] not in choices:
+            raise DomainError(f"{path}:{lineno}: {key} must be one of {choices}")
     if "beta" in values and "rate_to_beta" in values:
         raise DomainError(f"{path}: sets both beta and rate_to_beta")
-    for key, option in _OPTIONS.items():
-        if option.choices and key in values and values[key] not in option.choices:
-            raise DomainError(f"{path}: {key} must be one of {option.choices}")
     return values
 
 

@@ -23,10 +23,14 @@ between stream counts tight.
 Shared draws.  The first interference draw of a block depends only on
 (seed, link, block) and the interference column count k_int, the sum
 of the other links' streams.  link_success_table therefore draws it
-once per (link, k_int, block) for all of its candidates, and restores
-the stream state just after it before each k_self's self draws and
-resamples.  Every candidate then sees exactly the draws of its own
-empirical_link_success call, so its estimate is bitwise the same.
+once per (link, k_int, block) for all of its candidates.  The self
+draw that follows it is made once too, for the block's largest k_self:
+a generator's normals come one after another, so the first
+size*M*k*2 of them are exactly the self draws of a call with k_self = k.
+Each smaller k_self reads that prefix, and its resamples start from the
+stream state saved just after it.  Every candidate then sees exactly
+the draws of its own empirical_link_success call, so its estimate is
+bitwise the same.
 
 A full-channel trial for link n touches only the matrices arriving at
 receiver n, and those are disjoint from (and independent of) every other
@@ -127,46 +131,60 @@ def _link_block(
     """Simulate `size` stream-1 trials of one link per candidate, on one block stream.
 
     A candidate is (k_self, column weights), its weights of length k_int.
-    The first interference draw is made once.  Each k_self restarts the
-    stream just after it, so its self draws and resamples are those of a
-    call with that k_self alone.  Candidates with the same k_self share
-    every draw and differ only in their weighted interference sum.
+    The first interference draw is made once, and so is the self draw:
+    one buffer, filled in ascending k_self, holds the largest k_self's
+    normals.  Each k_self reads its prefix and resamples from the stream
+    state saved after its part (see "Shared draws" above).  Candidates
+    with the same k_self share every draw and differ only in their
+    weighted interference sum.
 
     Yields (candidate index, signal, interference, resampled) for every
-    candidate, one k_self at a time, so a caller that reduces each as it
-    comes holds one k_self's arrays at once.
+    candidate, one k_self at a time in ascending order, so a caller that
+    reduces each as it comes holds one k_self's results at once.
     """
     rng = _block_rng(seed, _PURPOSE_LINK, link, block)
     h_int = _complex_normal(rng, (size, num_antennas, k_int))
-    after_h_int = rng.bit_generator.state
-    for k_self in dict.fromkeys(k for k, _ in candidates):
+    k_selfs = sorted({k for k, _ in candidates})
+    normals = np.empty(size * num_antennas * k_selfs[-1] * 2)
+    drawn = 0
+    for k_self in k_selfs:
+        end = size * num_antennas * k_self * 2
+        rng.standard_normal(out=normals[drawn:end])
+        normals[drawn:end] *= _SQRT_HALF
+        drawn = end
+        after_self = rng.bit_generator.state
+        h_self = normals[:end].reshape(size, num_antennas, k_self, 2)
         mine = [i for i, (k, _) in enumerate(candidates) if k == k_self]
-        rng.bit_generator.state = after_h_int
         signal, interference, resampled = _zf_trials(
-            rng, h_int, k_self, [candidates[i][1] for i in mine]
+            rng, h_int, h_self.view(np.complex128)[..., 0],
+            [candidates[i][1] for i in mine]
         )
+        rng.bit_generator.state = after_self
         for i, arr in zip(mine, interference):
             yield i, signal, arr, resampled
 
 
-def _zf_trials(rng: np.random.Generator, h_int: np.ndarray, k_self: int, weights):
-    """One k_self's trials on the interference draw ``h_int``, rng just after it.
+def _zf_trials(
+    rng: np.random.Generator, h_int: np.ndarray, h_self: np.ndarray, weights
+):
+    """One k_self's trials on the draws ``h_int`` and ``h_self``, rng just after them.
 
     Returns (signal, [interference per weight vector], resampled).  A
     degenerate self draw is resampled together with fresh interference.
-    The block's largest arrays live here, so they are freed before the
-    next k_self starts.
+    A round with no degenerate row reads its draws through views, so
+    only a resample round copies rows.
     """
     size, m, k_int = h_int.shape
+    k_self = h_self.shape[2]
     signal = np.empty(size)
     interference = [np.empty(size) for _ in weights]
     pending = np.arange(size)
     resampled = 0
     while pending.size:
         b = pending.size
-        if h_int is None:
+        if h_self is None:
             h_int = _complex_normal(rng, (b, m, k_int))
-        h_self = _complex_normal(rng, (b, m, k_self))
+            h_self = _complex_normal(rng, (b, m, k_self))
         target = h_self[:, :, 0]
         if k_self == 1:
             s = np.einsum("bm,bm->b", target, target.conj()).real
@@ -181,7 +199,7 @@ def _zf_trials(rng: np.random.Generator, h_int: np.ndarray, k_self: int, weights
             residual = target - np.einsum("bmr,br->bm", q_mat, coeff)
             s = np.einsum("bm,bm->b", residual, residual.conj()).real
             bad |= s == 0.0
-        good = ~bad
+        good = ~bad if bad.any() else slice(None)
         rows = pending[good]
         norm = np.sqrt(s[good])
         q = residual[good].conj() / norm[:, None]
@@ -192,7 +210,7 @@ def _zf_trials(rng: np.random.Generator, h_int: np.ndarray, k_self: int, weights
             arr[rows] = powers @ w
         pending = pending[bad]
         resampled += int(bad.sum())
-        h_int = None
+        h_self = None
     return signal, interference, resampled
 
 

@@ -251,6 +251,22 @@ class TestConfigFile:
         assert (code, out) == (2, "")
         assert err == f"error: {cfg}:3: unknown key {key!r}\n"
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("backend = gpu", "backend must be one of ('analytic', 'mc', 'both')"),
+            ("alloc = 1,x", "alloc must be comma-separated integers, got '1,x'"),
+            ("alloc_sweep = maybe", "expected a boolean, got 'maybe'"),
+        ],
+        ids=["choice", "list", "boolean"],
+    )
+    def test_bad_value_is_line_numbered(self, capsys, tmp_path, line, message):
+        cfg = tmp_path / "scen.cfg"
+        cfg.write_text(f"links = 3\nantennas = 3\n{line}\nseed = 4\n")
+        code, out, err = run_cli(capsys, "capacity", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == f"error: {cfg}:3: {message}\n"
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "capacity", "--config", str(tmp_path / "absent.cfg")

@@ -93,6 +93,12 @@ CASES = {
          "--trials", "20000", "--seed", "5", "--mode", "coordinate"],
         0,
     ),
+    "optimize_coordinate_mc_M6": (
+        ["optimize", "--links", "4", "--antennas", "6", "--beta", "2",
+         "--mode", "coordinate", "--backend", "mc", "--trials", "4000",
+         "--seed", "21"],
+        0,
+    ),
     "fig1_mc": (
         ["figure", "fig1", "--antennas", "4", "--n-list", "3,6", "--backend", "mc",
          "--trials", "10000", "--seed", "3"],

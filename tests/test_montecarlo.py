@@ -402,6 +402,81 @@ class TestLinkSuccessTable:
         assert resampled[1] == 0
         assert resampled[3] > 0 and resampled[4] > 0
 
+    @pytest.mark.parametrize("rank_tol", [None, 0.3], ids=["default", "coarse"])
+    def test_kernel_matches_single_calls_in_any_candidate_order(
+        self, monkeypatch, rank_tol
+    ):
+        # Unordered, repeated k_self with different weights: each
+        # candidate still gets its own call's arrays, resamples included.
+        if rank_tol is not None:
+            monkeypatch.setattr(montecarlo, "_RANK_TOL", rank_tol)
+        weights = [montecarlo._column_weights(others) for others in _TABLE_OTHERS[:3]]
+        candidates = [
+            (k, weights[j % 3]) for j, k in enumerate([4, 1, 3, 1, 2])
+        ]
+        resampled = {}
+        for i, signal, interference, r in montecarlo._link_block(
+            4, 2, 4, candidates, 8, 2, 700
+        ):
+            [(_, signal1, interference1, r1)] = montecarlo._link_block(
+                4, 2, 4, [candidates[i]], 8, 2, 700
+            )
+            np.testing.assert_array_equal(signal, signal1)
+            np.testing.assert_array_equal(interference, interference1)
+            assert r == r1
+            resampled[i] = r
+        assert sorted(resampled) == list(range(len(candidates)))
+        if rank_tol is not None:
+            # k_self = 3 resamples before k_self = 4's part is drawn.
+            assert resampled[2] > 0 and resampled[0] > 0
+
+    def test_kernel_draws_the_self_matrix_once(self, monkeypatch):
+        # k_self = 1..4 read prefixes of one 4-column self draw: size*M
+        # *(k_int + 4)*2 normals per block, not size*M*(k_int + 1+2+3+4)*2.
+        counters = []
+
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng, self.normals = rng, 0
+                counters.append(self)
+
+            @property
+            def bit_generator(self):
+                return self.rng.bit_generator
+
+            def standard_normal(self, *args, **kwargs):
+                values = self.rng.standard_normal(*args, **kwargs)
+                self.normals += values.size
+                return values
+
+        block_rng = montecarlo._block_rng
+        monkeypatch.setattr(
+            montecarlo, "_block_rng", lambda *args: CountingRng(block_rng(*args))
+        )
+        m, k_int, size = 4, 4, 500
+        candidates = [
+            (k, montecarlo._column_weights((1, 3))) for k in range(1, m + 1)
+        ]
+        resampled = [
+            r for *_, r in montecarlo._link_block(m, 0, k_int, candidates, 3, 0, size)
+        ]
+        assert resampled == [0] * m
+        [counter] = counters
+        assert counter.normals == size * m * (k_int + m) * 2
+
+    def test_consecutive_fills_continue_one_draw(self):
+        # The shared self draw rests on this: filling n values and then
+        # n' more gives the first n + n' values of one draw, and leaves
+        # the stream where that draw leaves it.
+        whole = montecarlo._block_rng(5, montecarlo._PURPOSE_LINK, 1, 3)
+        parts = montecarlo._block_rng(5, montecarlo._PURPOSE_LINK, 1, 3)
+        expected = whole.standard_normal(size=1001)
+        filled = np.empty(1001)
+        parts.standard_normal(out=filled[:333])
+        parts.standard_normal(out=filled[333:])
+        np.testing.assert_array_equal(filled, expected)
+        np.testing.assert_equal(parts.bit_generator.state, whole.bit_generator.state)
+
     def test_resample_budget_error_is_the_first_calls(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_RANK_TOL", 0.3)
         cfg = SystemConfig(3, 4, 1.0)
