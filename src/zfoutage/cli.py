@@ -160,7 +160,8 @@ def _read_value(key: str, text: str):
 def _load_config_file(path: str, keys) -> dict:
     """Parse a key=value scenario file that sets options among ``keys``.
 
-    Every error about one line, its key or its value, names the line.
+    Every error about a line, its key or its value, names the line; a
+    file setting both beta and rate_to_beta names the second of the two.
     """
     values: dict = {}
     try:
@@ -189,8 +190,8 @@ def _load_config_file(path: str, keys) -> dict:
         choices = _OPTIONS[key].choices
         if choices and values[key] not in choices:
             raise DomainError(f"{path}:{lineno}: {key} must be one of {choices}")
-    if "beta" in values and "rate_to_beta" in values:
-        raise DomainError(f"{path}: sets both beta and rate_to_beta")
+        if "beta" in values and "rate_to_beta" in values:
+            raise DomainError(f"{path}:{lineno}: sets both beta and rate_to_beta")
     return values
 
 

@@ -8,7 +8,8 @@ Conventions used throughout the package:
   rate-parameterized: Gamma(shape, rate) has mean shape/rate.
 * A "success probability" is P(SIR >= beta) for one stream of one link.
   Per-link outage capacity is rate * streams * success_prob, and the sum
-  capacity is the exact sum of the per-link values.
+  capacity is the exact sum of the per-link values.  An OutageReport
+  stores the probabilities and derives both.
 * Probabilities produced by series evaluation may land epsilon-outside
   [0, 1].  They are snapped to the interval; excursions larger than
   CLAMP_TOL are counted so that a validation pass can report them.
@@ -18,7 +19,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "ZfOutageError",
@@ -26,7 +28,6 @@ __all__ = [
     "NumericalError",
     "SearchBudgetError",
     "CLAMP_TOL",
-    "SMALL_SAMPLE_FLOOR",
     "check_int",
     "check_positive",
     "clamp_probability",
@@ -86,10 +87,6 @@ def check_positive(name: str, value):
 # Excursions beyond [0, 1] up to this size are snapped silently; anything
 # larger is still snapped but counted as a diagnostic event.
 CLAMP_TOL = 1e-9
-
-# Monte Carlo estimates from fewer trials than this are flagged so that a
-# zero standard error (p in {0, 1}) is not mistaken for certainty.
-SMALL_SAMPLE_FLOOR = 100
 
 _clamp_events = 0
 
@@ -217,92 +214,55 @@ class StreamAllocation:
 class OutageReport:
     """Per-link success probabilities and the capacities derived from them.
 
-    The derived fields are not free: construction re-checks that each
-    capacity equals rate * streams * success_prob bit for bit and that
-    ``sum_capacity`` is the exact (math.fsum) sum of the per-link values,
-    so a report can never drift from its own inputs.  ``std_error`` is
-    None for analytic results; Monte Carlo results carry the binomial
-    standard error per link plus bookkeeping about the run.
+    A report stores only its inputs: each link's capacity is derived as
+    rate * streams * success_prob and the sum capacity as their exact
+    (math.fsum) sum, each computed once on first use, so a report can
+    never drift from its own inputs.  ``std_error`` is None for analytic
+    results; Monte Carlo results carry the binomial standard error per
+    link.
     """
 
     streams: tuple[int, ...]
     rate: float
     per_link_success_prob: tuple[float, ...]
-    per_link_capacity: tuple[float, ...]
-    sum_capacity: float
     std_error: tuple[float, ...] | None = None
-    trials: int | None = None
-    resampled: int = 0
-    small_sample: bool = field(default=False)
 
     def __post_init__(self) -> None:
         n = len(self.streams)
         if n < 2:
             raise DomainError(f"a report covers >= 2 links, got {n}")
-        if len(self.per_link_success_prob) != n or len(self.per_link_capacity) != n:
+        if len(self.per_link_success_prob) != n:
             raise DomainError("per-link fields must share one length")
         if self.std_error is not None and len(self.std_error) != n:
             raise DomainError("std_error length must match the link count")
         for p in self.per_link_success_prob:
             if not (0.0 <= p <= 1.0):
                 raise DomainError(f"success probability {p!r} outside [0, 1]")
-        for k, p, c in zip(
-            self.streams, self.per_link_success_prob, self.per_link_capacity
-        ):
-            expect = self.rate * k * p
-            if c != expect:
-                raise DomainError(
-                    f"capacity {c!r} is not rate*streams*prob ({expect!r})"
-                )
-        if self.sum_capacity != math.fsum(self.per_link_capacity):
-            raise DomainError("sum_capacity is not the exact per-link sum")
         if self.std_error is not None:
             for s in self.std_error:
                 if not (math.isfinite(s) and s >= 0.0):
                     raise DomainError(f"standard error {s!r} must be >= 0")
 
+    @cached_property
+    def per_link_capacity(self) -> tuple[float, ...]:
+        return tuple(
+            self.rate * k * p
+            for k, p in zip(self.streams, self.per_link_success_prob)
+        )
+
+    @cached_property
+    def sum_capacity(self) -> float:
+        return math.fsum(self.per_link_capacity)
+
     @classmethod
     def from_success(
-        cls,
-        config: SystemConfig,
-        alloc: StreamAllocation,
-        success_prob,
-        std_error=None,
-        trials: int | None = None,
-        resampled: int = 0,
+        cls, config: SystemConfig, alloc: StreamAllocation, success_prob, std_error=None
     ) -> "OutageReport":
-        """Derive capacities from success probabilities for one scenario."""
+        """Report of one scenario from its per-link success probabilities."""
         alloc.validate_against(config)
-        probs = tuple(float(p) for p in success_prob)
-        caps = tuple(
-            config.rate * k * p for k, p in zip(alloc.streams, probs)
-        )
         return cls(
             streams=alloc.streams,
             rate=config.rate,
-            per_link_success_prob=probs,
-            per_link_capacity=caps,
-            sum_capacity=math.fsum(caps),
+            per_link_success_prob=tuple(float(p) for p in success_prob),
             std_error=None if std_error is None else tuple(float(s) for s in std_error),
-            trials=trials,
-            resampled=resampled,
-            small_sample=(trials is not None and trials < SMALL_SAMPLE_FLOOR),
-        )
-
-    @classmethod
-    def from_estimates(
-        cls, config: SystemConfig, alloc: StreamAllocation, estimates
-    ) -> "OutageReport":
-        """Report of one Monte Carlo run from its per-link estimates.
-
-        Each estimate has ``prob``, ``std_error``, ``trials`` and
-        ``resampled``; all share one trial count.
-        """
-        return cls.from_success(
-            config,
-            alloc,
-            [est.prob for est in estimates],
-            std_error=[est.std_error for est in estimates],
-            trials=estimates[0].trials,
-            resampled=sum(est.resampled for est in estimates),
         )

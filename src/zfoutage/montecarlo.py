@@ -101,10 +101,13 @@ def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndar
 
 @dataclass(frozen=True)
 class MonteCarloEstimate:
-    """Success-probability estimate with its binomial standard error."""
+    """Success-probability estimate from ``trials`` trials.
+
+    ``resampled`` counts the degenerate draws that were replaced, and
+    the binomial standard error is derived from ``prob`` and ``trials``.
+    """
 
     prob: float
-    std_error: float
     trials: int
     resampled: int = 0
 
@@ -112,6 +115,10 @@ class MonteCarloEstimate:
         if not (0.0 <= self.prob <= 1.0):
             raise DomainError(f"estimate {self.prob!r} outside [0, 1]")
         check_int("trials", self.trials, 1)
+
+    @property
+    def std_error(self) -> float:
+        return math.sqrt(self.prob * (1.0 - self.prob) / self.trials)
 
 
 def _column_weights(others: Sequence[int]) -> np.ndarray:
@@ -286,16 +293,6 @@ def _check_resamples(resampled: int, trials: int) -> None:
         )
 
 
-def _estimate(hits: int, trials: int, resampled: int) -> MonteCarloEstimate:
-    p = hits / trials
-    return MonteCarloEstimate(
-        prob=p,
-        std_error=math.sqrt(p * (1.0 - p) / trials),
-        trials=trials,
-        resampled=resampled,
-    )
-
-
 def _link_estimates(
     config: SystemConfig,
     allocs: Sequence[StreamAllocation],
@@ -340,7 +337,9 @@ def _link_estimates(
     out = []
     for key in keys:
         _check_resamples(resampled[key], trials)
-        out.append([_estimate(h, trials, resampled[key]) for h in hits[key]])
+        out.append(
+            [MonteCarloEstimate(h / trials, trials, resampled[key]) for h in hits[key]]
+        )
     return out
 
 
@@ -418,12 +417,19 @@ def empirical_outage(
     *,
     workers: int | None = None,
 ) -> OutageReport:
-    """Full-channel Monte Carlo outage report over all links."""
+    """Full-channel Monte Carlo outage report over all links.
+
+    Each link's success probability and standard error come from its
+    own empirical_link_success call on the shared seed.
+    """
     estimates = [
         empirical_link_success(config, alloc, link, trials, seed, workers=workers)
         for link in range(config.num_links)
     ]
-    return OutageReport.from_estimates(config, alloc, estimates)
+    return OutageReport.from_success(
+        config, alloc, [est.prob for est in estimates],
+        std_error=[est.std_error for est in estimates],
+    )
 
 
 def direct_distribution_outage(
@@ -452,4 +458,4 @@ def direct_distribution_outage(
     hits = sum(
         _hits(signal, interference, k_self, beta) for signal, interference in results
     )
-    return _estimate(hits, trials, 0)
+    return MonteCarloEstimate(hits / trials, trials)

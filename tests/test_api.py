@@ -1,6 +1,7 @@
 """The public surface: every exported name is used by the package itself."""
 
 import ast
+import functools
 import inspect
 import pathlib
 
@@ -38,9 +39,9 @@ def test_every_export_has_a_caller_in_the_package():
 
 
 def test_every_public_member_of_an_exported_class_has_a_caller():
-    # Methods, classmethods, staticmethods and properties count; a use is
-    # an attribute of that name anywhere in the package, so two members
-    # sharing one name share their callers.
+    # Methods, classmethods, staticmethods, properties and cached
+    # properties count; a use is an attribute of that name anywhere in
+    # the package, so two members sharing one name share their callers.
     used = _package_uses()
     unused = []
     for name in zfoutage.__all__:
@@ -49,7 +50,8 @@ def test_every_public_member_of_an_exported_class_has_a_caller():
             continue
         for member, value in vars(cls).items():
             is_callable = isinstance(
-                value, (property, classmethod, staticmethod)
+                value,
+                (property, functools.cached_property, classmethod, staticmethod),
             ) or inspect.isfunction(value)
             if is_callable and not member.startswith("_") and member not in used:
                 unused.append(f"{name}.{member}")

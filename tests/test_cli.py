@@ -230,6 +230,7 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "capacity", "--config", str(cfg))
         assert code == 2
         assert "beta" in err and "rate_to_beta" in err
+        assert f"{cfg}:4" in err
 
     @pytest.mark.parametrize(
         "text, key",

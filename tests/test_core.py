@@ -190,42 +190,16 @@ class TestOutageReport:
         assert report.per_link_capacity == (2.0 * 1 * 0.5, 2.0 * 2 * 0.25)
         assert report.sum_capacity == math.fsum(report.per_link_capacity)
         assert report.std_error is None
-        assert not report.small_sample
 
-    def test_capacity_identity_enforced(self):
-        with pytest.raises(DomainError):
-            OutageReport(
-                streams=(1, 1),
-                rate=1.0,
-                per_link_success_prob=(0.5, 0.5),
-                per_link_capacity=(0.5, 0.4999),
-                sum_capacity=0.9999,
-            )
-
-    def test_sum_identity_enforced(self):
-        with pytest.raises(DomainError):
-            OutageReport(
-                streams=(1, 1),
-                rate=1.0,
-                per_link_success_prob=(0.5, 0.5),
-                per_link_capacity=(0.5, 0.5),
-                sum_capacity=1.0000001,
-            )
+    def test_direct_construction_derives_capacities(self):
+        report = OutageReport(
+            streams=(1, 2), rate=2.0, per_link_success_prob=(0.5, 0.25)
+        )
+        assert report.per_link_capacity == (1.0, 1.0)
+        assert report.sum_capacity == 2.0
 
     def test_probability_bounds_enforced(self):
         cfg = SystemConfig(2, 1, 1.0)
         alloc = StreamAllocation((1, 1))
         with pytest.raises(DomainError):
             OutageReport.from_success(cfg, alloc, [0.5, 1.2])
-
-    def test_small_sample_flag(self):
-        cfg = SystemConfig(2, 1, 1.0)
-        alloc = StreamAllocation((1, 1))
-        tiny = OutageReport.from_success(
-            cfg, alloc, [1.0, 0.0], std_error=[0.0, 0.0], trials=1
-        )
-        assert tiny.small_sample
-        big = OutageReport.from_success(
-            cfg, alloc, [0.5, 0.5], std_error=[0.01, 0.01], trials=10_000
-        )
-        assert not big.small_sample
