@@ -215,12 +215,8 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
                 flag = "--" + key.replace("_", "-")
                 raise DomainError(f"{flag} does not apply to {args.which}")
     for key, option in _OPTIONS.items():
-        if option.list_error is None or key not in flags:
-            continue
-        if flags[key] or key == "alloc":
+        if option.list_error is not None and key in flags:
             flags[key] = _read_value(key, flags[key])
-        else:
-            del flags[key]  # an empty figure list keeps the default list
     # A threshold given on the command line replaces one from the file,
     # whichever of the two spellings each source used.
     if "beta" in flags:
@@ -503,81 +499,23 @@ def cmd_optimize(run: argparse.Namespace) -> int:
 
 def cmd_validate(run: argparse.Namespace) -> int:
     """Cross-backend agreement suite; prints one PASS/FAIL line per check."""
-    trials, seed, workers = run.trials, run.seed, run.workers
-    check_int("trials", trials, 1_000)
+    check_int("trials", run.trials, 1_000)
     reset_clamp_count()
-    lines: list[str] = []
-    failures = 0
+    mc = {"trials": run.trials, "seed": run.seed, "workers": run.workers}
+    full = functools.partial(montecarlo.empirical_link_success, link=0, **mc)
 
-    def check(name: str, ok: bool, detail: str) -> None:
-        nonlocal failures
-        if not ok:
-            failures += 1
-        lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-
-    # Exact M=1 closed form against both samplers.
-    cfg = SystemConfig(2, 1, 1.0, 1.0)
-    al = StreamAllocation((1, 1))
-    exact = 0.5
-    p_analytic = analytic.success_prob_equal_k(1, 2, 1, 1, 1.0)
-    check(
-        "closed-form-exact",
-        abs(p_analytic - exact) <= 1e-12,
-        f"analytic {p_analytic!r} vs exact {exact!r}",
-    )
-    est = montecarlo.empirical_link_success(cfg, al, 0, trials, seed, workers=workers)
-    tol = 3.0 * est.std_error
-    check(
-        "full-channel-vs-exact",
-        abs(est.prob - exact) <= tol,
-        f"mc {est.prob!r} within {tol!r} of {exact!r}",
-    )
-    direct = montecarlo.direct_distribution_outage(
-        1, 1, [1], 1.0, trials, seed, workers=workers
-    )
-    tol = 3.0 * direct.std_error
-    check(
-        "direct-vs-exact",
-        abs(direct.prob - exact) <= tol,
-        f"direct {direct.prob!r} within {tol!r} of {exact!r}",
-    )
-
-    # Full-channel vs analytic on a multi-antenna scenario.
-    cfg2 = SystemConfig(4, 3, 1.0, 1.0)
-    al2 = StreamAllocation((2, 1, 1, 1))
-    p_closed = analytic.link_success_prob(cfg2, al2, 0)
-    est2 = montecarlo.empirical_link_success(cfg2, al2, 0, trials, seed, workers=workers)
-    tol = max(3.0 * est2.std_error, 5e-3)
-    check(
-        "full-channel-vs-closed-form",
-        abs(est2.prob - p_closed) <= tol,
-        f"mc {est2.prob!r} vs closed form {p_closed!r} (tol {tol!r})",
-    )
-
-    # The two samplers against each other on a heterogeneous scenario.
-    cfg3 = SystemConfig(4, 4, 1.0, 1.0)
-    al3 = StreamAllocation((1, 1, 2, 4))
-    full = montecarlo.empirical_link_success(cfg3, al3, 0, trials, seed, workers=workers)
-    direct3 = montecarlo.direct_distribution_outage(
-        4, 1, [1, 2, 4], 1.0, trials, seed, workers=workers
-    )
-    tol = 3.0 * math.hypot(full.std_error, direct3.std_error)
-    check(
-        "full-channel-vs-direct",
-        abs(full.prob - direct3.prob) <= tol,
-        f"full {full.prob!r} vs direct {direct3.prob!r} (tol {tol!r})",
-    )
+    # An exact M=1 value, a multi-antenna scenario and a mixed-interferer one.
+    full1 = full(SystemConfig(2, 1, 1.0, 1.0), StreamAllocation((1, 1)))
+    direct1 = montecarlo.direct_distribution_outage(1, 1, [1], 1.0, **mc)
+    cfg2, al2 = SystemConfig(4, 3, 1.0, 1.0), StreamAllocation((2, 1, 1, 1))
+    full2 = full(cfg2, al2)
+    cfg3, al3 = SystemConfig(4, 4, 1.0, 1.0), StreamAllocation((1, 1, 2, 4))
+    full3 = full(cfg3, al3)
+    direct3 = montecarlo.direct_distribution_outage(4, 1, [1, 2, 4], 1.0, **mc)
     exact3 = analytic.link_success_prob(cfg3, al3, 0)
-    tol = 3.0 * direct3.std_error
-    check(
-        "direct-vs-exact-hetero",
-        abs(direct3.prob - exact3) <= tol,
-        f"direct {direct3.prob!r} vs exact {exact3!r} (tol {tol!r})",
-    )
-    # The paper's gamma fit against the exact form, within criterion 4's 2e-2.
-    fit = analytic.success_prob_general(4, 1, [1, 2, 4], 1.0)
-    check("gamma-fit-gap", abs(fit - exact3) <= 2e-2, f"fit {fit!r} vs exact {exact3!r}")
-
+    # A threshold sweep shares its run with single-threshold calls.
+    sweep = montecarlo.link_success_sweep(cfg2, al2, 0, [0.5, 2.0], **mc)
+    single = full(SystemConfig(4, 3, 2.0, 1.0), al2)
     # Equal-weight reduction of the general form.
     worst = 0.0
     for m, n, k, b in ((2, 4, 1, 0.5), (4, 3, 2, 1.0), (8, 5, 2, 4.0)):
@@ -585,31 +523,40 @@ def cmd_validate(run: argparse.Namespace) -> int:
         g = analytic.success_prob_general(m, 1, [k] * (n - 1), b)
         if a > 0.0:
             worst = max(worst, abs(a - g) / a)
-    check(
-        "general-equal-k-consistency",
-        worst <= 1e-12,
-        f"worst relative gap {worst!r}",
-    )
 
-    # Threshold sweep shares its run with single-threshold calls.
-    sweep = montecarlo.link_success_sweep(
-        cfg2, al2, 0, [0.5, 2.0], trials, seed, workers=workers
+    # (name, label, value, reference label, reference, tolerance).  The
+    # clamp count comes last, after every closed form the table evaluates.
+    checks = (
+        ("closed-form-exact", "analytic",
+         analytic.success_prob_equal_k(1, 2, 1, 1, 1.0), "exact", 0.5, 1e-12),
+        ("full-channel-vs-exact", "mc", full1.prob, "exact", 0.5,
+         3.0 * full1.std_error),
+        ("direct-vs-exact", "direct", direct1.prob, "exact", 0.5,
+         3.0 * direct1.std_error),
+        ("full-channel-vs-closed-form", "mc", full2.prob, "closed form",
+         analytic.link_success_prob(cfg2, al2, 0), max(3.0 * full2.std_error, 5e-3)),
+        ("full-channel-vs-direct", "full", full3.prob, "direct", direct3.prob,
+         3.0 * math.hypot(full3.std_error, direct3.std_error)),
+        ("full-channel-vs-exact-hetero", "full", full3.prob, "exact", exact3,
+         3.0 * full3.std_error),
+        ("direct-vs-exact-hetero", "direct", direct3.prob, "exact", exact3,
+         3.0 * direct3.std_error),
+        # The paper's gamma fit against the exact form, within criterion 4's 2e-2.
+        ("gamma-fit-gap", "fit", analytic.success_prob_general(4, 1, [1, 2, 4], 1.0),
+         "exact", exact3, 2e-2),
+        ("general-equal-k-consistency", "worst relative gap", worst, "exact", 0.0,
+         1e-12),
+        ("sweep-matches-single", "sweep", sweep[1].prob, "single", single.prob, 0.0),
+        ("clamp-diagnostics", "clamp events", clamp_count(), "expected", 0, 0),
     )
-    single = montecarlo.empirical_link_success(
-        SystemConfig(4, 3, 2.0, 1.0), al2, 0, trials, seed, workers=workers
-    )
-    check(
-        "sweep-matches-single",
-        sweep[1].prob == single.prob,
-        f"sweep {sweep[1].prob!r} vs single {single.prob!r}",
-    )
-
-    check("clamp-diagnostics", clamp_count() == 0, f"{clamp_count()} clamp events")
-
-    text = "\n".join(lines) + "\n"
-    summary = f"{len(lines) - failures}/{len(lines)} checks passed\n"
-    _write(run.out, text + summary)
-    return 3 if failures else 0
+    lines = [
+        f"{'PASS' if abs(value - reference) <= tol else 'FAIL'} {name}: "
+        f"{label} {value!r} vs {ref_label} {reference!r} (tol {tol!r})\n"
+        for name, label, value, ref_label, reference, tol in checks
+    ]
+    passed = sum(line.startswith("PASS") for line in lines)
+    _write(run.out, "".join(lines) + f"{passed}/{len(lines)} checks passed\n")
+    return 0 if passed == len(lines) else 3
 
 
 # Exit status per error class; the first match wins, so every package

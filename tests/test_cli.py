@@ -341,6 +341,16 @@ class TestFigureCommands:
         assert err.startswith("error:")
         assert flag in err
 
+    @pytest.mark.parametrize(
+        "which, flag", [("fig1", "--n-list"), ("fig2", "--beta-list")]
+    )
+    def test_empty_list_rejected(self, capsys, which, flag):
+        # An empty list is an error, as it is for --alloc, not the default list.
+        code, out, err = run_cli(capsys, "figure", which, flag, "")
+        assert (code, out, err) == (
+            2, "", "error: expected comma-separated values, got ''\n"
+        )
+
 
 class TestNstarCommand:
     def test_reports_both_thresholds(self, capsys):
@@ -459,9 +469,30 @@ class TestValidateCommand:
     def test_passes_and_reports(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--trials", "5000")
         assert code == 0
-        assert "10/10 checks passed" in out
-        assert out.count("PASS") == 10
+        assert "11/11 checks passed" in out
+        assert out.count("PASS") == 11
         assert "FAIL" not in out
+
+    def test_failed_check_exits_three(self, capsys, monkeypatch):
+        # Shift the gamma fit of the mixed case alone, so one check fails.
+        general = zfoutage.analytic.success_prob_general
+
+        def shifted(antennas, k_self, k_others, beta):
+            p = general(antennas, k_self, k_others, beta)
+            return p + 0.5 if list(k_others) == [1, 2, 4] else p
+
+        monkeypatch.setattr(zfoutage.analytic, "success_prob_general", shifted)
+        code, out, _ = run_cli(capsys, "validate", "--trials", "5000")
+        assert code == 3
+        [failed] = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert failed.startswith("FAIL gamma-fit-gap: fit ")
+        assert out.endswith("\n10/11 checks passed\n")
+
+    def test_too_few_trials_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "validate", "--trials", "999")
+        assert (code, out, err) == (
+            2, "", "error: trials must be an int >= 1000, got 999\n"
+        )
 
     def test_workers_reach_every_monte_carlo_call(self, capsys, monkeypatch):
         from zfoutage import montecarlo

@@ -130,6 +130,7 @@ CASES = {
         ["capacity", "--links", "2", "--antennas", "2", "--alloc", "1,3"], 2
     ),
     "error_nstar_cap": (["nstar", "--antennas", "10", "--cap", "3"], 4),
+    "validate": (["validate", "--trials", "5000", "--seed", "0"], 0),
 }
 
 
