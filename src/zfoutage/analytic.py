@@ -27,6 +27,8 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .core import (
     DomainError,
     NumericalError,
@@ -127,6 +129,55 @@ def success_prob_equal_k(
     k_other = check_int("k_other", k_other, 1, num_antennas)
     check_positive("beta", beta)
     return _success_equal_k(num_antennas, num_links, k_self, k_other, beta)
+
+
+# Relative gap between a link count's two largest ranked capacities at or
+# below which _rank_equal_k leaves that link count to the exact kernel.
+_RANK_REL_GAP = 1e-9
+
+
+def _rank_equal_k(
+    num_antennas: int, first_n: int, count: int, k_other: int, beta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rank k_self = 1..M by capacity at N = first_n .. first_n + count - 1.
+
+    Every interferer runs k_other streams.  The equal-k series of each
+    (k_self, N) is summed by its term recurrence on an (M, count) array:
+    with lam = (N-1)*k_other and d = beta*k_self/k_other,
+
+        t_0 = exp(-lam * log1p(d)),
+        t_{r+1} = t_r * (r+lam)/(r+1) * d/(1+d)   for r < M - k_self,
+
+    and the capacity is k_self * sum_r t_r.
+
+    This only ranks.  It returns, per N, the k_self of largest ranked
+    capacity and whether that N is undecided: its two largest capacities
+    lie within a relative _RANK_REL_GAP, or some candidate's t_0 is below
+    the smallest normal float.  It never returns a value that is
+    printed; the caller decides every undecided N, every close call
+    among them, with the exact kernel, _success_equal_k.  Where the gap
+    is wider, both sums are accurate far inside it, so the best k_self
+    is the exact kernel's too.
+    """
+    d = [beta * k / k_other for k in range(1, num_antennas + 1)]
+    log1p_d = np.array([math.log1p(x) for x in d])
+    # d/(1+d); a d that overflowed to inf has t_0 = 0, and 1 keeps its
+    # terms 0 rather than nan.
+    ratio = np.array([x / (1.0 + x) if x < math.inf else 1.0 for x in d])[:, None]
+    lam = (np.arange(first_n, first_n + count) - 1.0) * k_other
+    term = np.exp(np.multiply.outer(-log1p_d, lam))
+    undecided = (term < sys.float_info.min).any(axis=0)
+    total = term.copy()
+    for r in range(num_antennas - 1):
+        rows = num_antennas - 1 - r  # the k_self that have a term r + 1
+        term = term[:rows] * ratio[:rows]
+        term *= (r + lam) / (r + 1)
+        total[:rows] += term
+    capacity = total * np.arange(1.0, num_antennas + 1.0)[:, None]
+    if num_antennas > 1:
+        second, top = np.partition(capacity, num_antennas - 2, axis=0)[-2:]
+        undecided |= top - second <= _RANK_REL_GAP * top
+    return capacity.argmax(axis=0) + 1, undecided
 
 
 @dataclass(frozen=True)

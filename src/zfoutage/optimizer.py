@@ -264,6 +264,39 @@ def maximize_sum_capacity(
 # cap.
 _ANALYTIC_CAP = 2**53
 
+# The threshold scan ranks link counts 64 at a time at first, then twice as
+# many each time up to this many, so its arrays hold at most M times this
+# many values whatever the cap or window.
+_SCAN_CHUNK = 1024
+
+
+def _equal_k_best_responses(num_antennas: int, beta: float, k_other: int, last: int):
+    """Best response of one link at N = 2..last, every other link at k_other.
+
+    Each chunk of N is ranked by analytic._rank_equal_k.  An N that the
+    ranking leaves undecided gets best_response's answer from the exact
+    kernel: the first k of largest closed-form capacity.
+    """
+
+    def capacity(n: int, k: int) -> float:
+        return k * analytic._success_equal_k(num_antennas, n, k, k_other, beta)
+
+    streams = range(1, num_antennas + 1)
+    first, size = 2, min(64, _SCAN_CHUNK)
+    while first <= last:
+        count = min(size, last - first + 1)
+        ranked, undecided = analytic._rank_equal_k(
+            num_antennas, first, count, k_other, beta
+        )
+        for n, best_k, exact in zip(
+            range(first, first + count), ranked.tolist(), undecided.tolist()
+        ):
+            if exact:
+                best_k = _first_max(streams, lambda k: capacity(n, k))
+            yield best_k
+        first += count
+        size = min(2 * size, _SCAN_CHUNK)
+
 
 def empirical_threshold(
     num_antennas: int,
@@ -277,7 +310,9 @@ def empirical_threshold(
 
     Scans N upward from 2 and returns the first N at which
     best_response = 1 holds for N and the next ``window`` consecutive
-    link counts, guarding against non-monotone crossings.  The analytic
+    link counts, guarding against non-monotone crossings.  A vectorized
+    series ranks each N's candidates and the exact kernel decides every
+    close call, so the result is the exact kernel's.  The analytic
     sufficient bound is computed alongside for comparison; ``cap`` does
     not apply to it, and it is None past 2**53.  Raises
     SearchBudgetError when no such N <= cap exists.
@@ -288,13 +323,11 @@ def empirical_threshold(
     window = check_int("window", window, 0)
     cap = check_int("cap", cap, 2)
 
-    def capacity(n: int, k: int) -> float:
-        return k * analytic._success_equal_k(num_antennas, n, k, k_other, beta)
-
-    streams = range(1, num_antennas + 1)
+    best_responses = _equal_k_best_responses(
+        num_antennas, beta, k_other, cap + window
+    )
     run_start = None
-    for n in range(2, cap + window + 1):
-        best_k = _first_max(streams, lambda k: capacity(n, k))
+    for n, best_k in enumerate(best_responses, start=2):
         if best_k == 1:
             if run_start is None:
                 run_start = n

@@ -6,12 +6,15 @@ from scipy's regularized incomplete gamma or direct series summation,
 success probabilities from adaptive quadrature over the interference
 density or from the Taylor expansion of its Laplace transform, and the
 SIR of one trial from an explicit per-trial zero-forcing vector (SVD of
-the excluded columns) instead of the batched QR kernel.  Two things are shared with the package.  Its random
+the excluded columns) instead of the batched QR kernel.  Three things are shared with the package.  Its random
 streams: ``link_power_samples`` replays the full-channel sampler's draws
 so its marginals describe the very trials the sampler scores.  And its
 block kernels: ``link_sir_samples`` and ``direct_sir_samples`` return
 the raw SIR samples that the library only reduces to estimates, so the
-distributional tests look at exactly the sampled trials.  Expected
+distributional tests look at exactly the sampled trials.  And its exact
+closed form: ``exact_threshold`` is the link-count threshold scan with
+every candidate valued by that closed form, and the library's ranked
+scan must reproduce its every result.  Expected
 values in the test suite are either hand-derivable constants or outputs
 of these oracles; none are copied from the implementation under test.
 """
@@ -26,14 +29,19 @@ import numpy as np
 import scipy.special
 from scipy.integrate import quad
 
-from zfoutage import montecarlo
+from zfoutage import analytic, montecarlo
+from zfoutage.analytic import min_links_single_stream
 from zfoutage.core import (
     DomainError,
     NumericalError,
+    SearchBudgetError,
     StreamAllocation,
     SystemConfig,
     ZfOutageError,
+    check_int,
+    check_positive,
 )
+from zfoutage.optimizer import _ANALYTIC_CAP, ThresholdResult, _first_max
 
 # Relative singular-value floor below which the excluded columns (or
 # the residual of the stream column) count as degenerate.
@@ -186,6 +194,55 @@ def min_links_reference(max_antennas: int, beta: float, k_other: int) -> dict:
         c_min = [1 + _ceil_sum(*excess[p - 1], m - p + 1) for p in range(1, m + 1)]
         stars[m] = max(2, 1 + max(-(-(c + 1) // k_other) for c in c_min))
     return stars
+
+
+def exact_threshold(
+    num_antennas: int,
+    beta: float,
+    k_other: int = 1,
+    *,
+    window: int = 5,
+    cap: int = 10_000,
+) -> ThresholdResult:
+    """empirical_threshold with each N's best response from the exact kernel.
+
+    Scans N upward from 2 and returns the first N at which
+    best_response = 1 holds for N and the next ``window`` consecutive
+    link counts, guarding against non-monotone crossings.  The analytic
+    sufficient bound is computed alongside for comparison; ``cap`` does
+    not apply to it, and it is None past 2**53.  Raises
+    SearchBudgetError when no such N <= cap exists.
+    """
+    num_antennas = check_int("num_antennas", num_antennas, 1)
+    check_positive("beta", beta)
+    k_other = check_int("k_other", k_other, 1, num_antennas)
+    window = check_int("window", window, 0)
+    cap = check_int("cap", cap, 2)
+
+    def capacity(n: int, k: int) -> float:
+        return k * analytic._success_equal_k(num_antennas, n, k, k_other, beta)
+
+    streams = range(1, num_antennas + 1)
+    run_start = None
+    for n in range(2, cap + window + 1):
+        best_k = _first_max(streams, lambda k: capacity(n, k))
+        if best_k == 1:
+            if run_start is None:
+                run_start = n
+            if n - run_start >= window and run_start <= cap:
+                try:
+                    bound = min_links_single_stream(
+                        num_antennas, beta, k_other, cap=_ANALYTIC_CAP
+                    )
+                except SearchBudgetError:
+                    bound = None
+                return ThresholdResult(run_start, window, bound)
+        else:
+            run_start = None
+    raise SearchBudgetError(
+        f"no stable single-stream threshold found up to N = {cap} "
+        f"(M={num_antennas}, beta={beta}, k_other={k_other})"
+    )
 
 
 def weighted_exp_moments(weights) -> tuple[float, float]:

@@ -63,6 +63,10 @@ CASES = {
     ),
     "nstar_m3": (["nstar", "--antennas", "3", "--beta", "1"], 0),
     "nstar_m10": (["nstar", "--antennas", "10", "--beta", "0.01"], 0),
+    "nstar_m60": (["nstar", "--antennas", "60", "--beta", "0.5"], 0),
+    "nstar_underflow": (
+        ["nstar", "--antennas", "10", "--beta", "1e8", "--k-other", "10"], 0
+    ),
     "nstar_json": (
         ["nstar", "--antennas", "4", "--beta", "2", "--k-other", "2",
          "--format", "json"],
@@ -171,6 +175,17 @@ def test_golden_with_small_search_chunks(name, tmp_path, monkeypatch):
     # Sweeps print the exhaustive search's table, which the search fills
     # chunk by chunk; chunk borders must not change a byte.
     monkeypatch.setattr(optimizer, "_SEARCH_CHUNK", 5)
+    assert run_case(name, tmp_path) == expected(name)
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize(
+    "name", sorted(name for name, case in CASES.items() if case[0][0] == "nstar")
+)
+def test_golden_with_small_scan_chunks(name, chunk, tmp_path, monkeypatch):
+    # The threshold scan ranks link counts chunk by chunk; chunk borders
+    # must not change a byte.
+    monkeypatch.setattr(optimizer, "_SCAN_CHUNK", chunk)
     assert run_case(name, tmp_path) == expected(name)
 
 

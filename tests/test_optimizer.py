@@ -6,7 +6,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from zfoutage import optimizer
+from oracles import exact_threshold
+from zfoutage import analytic, optimizer
 from zfoutage.analytic import (
     link_success_prob,
     min_links_single_stream,
@@ -358,3 +359,70 @@ class TestEmpiricalThreshold:
                 assert all(best(n) == 1 for n in range(t, t + res.window + 1))
                 if t > 2:
                     assert best(t - 1) != 1
+
+
+# Every k_other <= M over M = 1..12 and eight moderate thresholds, then
+# thresholds at both ends of the float range for a few M.
+THRESHOLD_GRID = [
+    (m, beta, k_other)
+    for m in range(1, 13)
+    for beta in (0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+    for k_other in range(1, m + 1)
+] + [
+    (m, beta, k_other)
+    for m in (1, 3, 10)
+    for beta in (1e-15, 1e-5, 1e8, 1e308)
+    for k_other in range(1, m + 1)
+]
+
+
+def _threshold_outcome(scan, cell):
+    """The scan's ThresholdResult for ``cell``, or its SearchBudgetError message."""
+    try:
+        return scan(*cell)
+    except SearchBudgetError as err:
+        return str(err)
+
+
+@pytest.fixture(scope="module")
+def reference_thresholds():
+    return {cell: _threshold_outcome(exact_threshold, cell) for cell in THRESHOLD_GRID}
+
+
+def _grid_mismatches(reference):
+    """The grid cells where empirical_threshold differs from ``reference``."""
+    return [
+        cell
+        for cell in THRESHOLD_GRID
+        if _threshold_outcome(empirical_threshold, cell) != reference[cell]
+    ]
+
+
+class TestRankedThresholdScan:
+    def test_grid_matches_exact_scan(self, reference_thresholds):
+        assert len(THRESHOLD_GRID) == 624 + 56
+        assert _grid_mismatches(reference_thresholds) == []
+
+    def test_separated_link_counts_make_no_closed_form(self, count_closed_forms):
+        res, calls = count_closed_forms(empirical_threshold, 10, 0.01)
+        assert (res.threshold, calls) == (438, 0)
+
+    def test_underflow_goes_to_exact_kernel(self, count_closed_forms):
+        # The scan reaches N = 7.  From N = 5 on, t_0 = (1 + 1e8*k/10)^-((N-1)*10)
+        # is below the smallest normal float for k >= 5.
+        res, calls = count_closed_forms(empirical_threshold, 10, 1e8, 10)
+        assert res.threshold == 2
+        assert calls >= 1
+
+    def test_exact_kernel_everywhere_changes_nothing(
+        self, reference_thresholds, monkeypatch, count_closed_forms
+    ):
+        monkeypatch.setattr(analytic, "_RANK_REL_GAP", math.inf)
+        # Every N goes to the exact kernel: M closed forms for each N the
+        # scan reaches, 2..threshold + window.
+        res, calls = count_closed_forms(empirical_threshold, 3, 1.0)
+        assert calls == 3 * (res.threshold + res.window - 1)
+        # inf * 0 is nan at an N whose every t_0 underflowed; that N is
+        # undecided already.
+        with np.errstate(invalid="ignore"):
+            assert _grid_mismatches(reference_thresholds) == []
