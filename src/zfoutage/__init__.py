@@ -30,9 +30,7 @@ from .core import (
     reset_clamp_count,
 )
 from .analytic import (
-    GammaParams,
     NStarResult,
-    gamma_approx_params,
     link_success_prob,
     min_links_single_stream,
     multiset_sum_capacities,
@@ -61,7 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CLAMP_TOL",
     "DomainError",
-    "GammaParams",
     "MonteCarloEstimate",
     "NStarResult",
     "NumericalError",
@@ -79,7 +76,6 @@ __all__ = [
     "empirical_link_success",
     "empirical_outage",
     "empirical_threshold",
-    "gamma_approx_params",
     "link_success_prob",
     "link_success_sweep",
     "link_success_table",

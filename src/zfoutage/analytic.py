@@ -43,8 +43,6 @@ from .core import (
 
 __all__ = [
     "success_prob_equal_k",
-    "GammaParams",
-    "gamma_approx_params",
     "success_prob_general",
     "link_success_prob",
     "multiset_sum_capacities",
@@ -180,60 +178,6 @@ def _rank_equal_k(
     return capacity.argmax(axis=0) + 1, undecided
 
 
-@dataclass(frozen=True)
-class GammaParams:
-    """Shape/rate pair of a rate-parameterized gamma distribution."""
-
-    shape: float
-    rate: float
-
-    def __post_init__(self) -> None:
-        check_positive("shape", self.shape)
-        check_positive("rate", self.rate)
-
-    @property
-    def mean(self) -> float:
-        return self.shape / self.rate
-
-    @property
-    def variance(self) -> float:
-        return self.shape / (self.rate * self.rate)
-
-
-def gamma_approx_params(weights: Sequence[float]) -> GammaParams:
-    """Match a Gamma(shape, rate) to X = sum a_i z_i with z_i ~ Exp(1).
-
-    Matching the first two moments gives shape = (sum a)^2 / sum a^2 and
-    rate = (sum a) / sum a^2.  The returned pair is verified to reproduce
-    E[X] = sum a and Var[X] = sum a^2 before it is handed back; for
-    all-equal weights the fit is the exact distribution.
-    """
-    ws = [float(w) for w in weights]
-    if not ws:
-        raise DomainError("weights must be non-empty")
-    for w in set(ws):  # weights repeat (k copies of 1/k): check each value once
-        check_positive("weights entry", w)
-    try:
-        total = math.fsum(ws)
-        total_sq = math.fsum(w * w for w in ws)
-    except OverflowError:  # finite terms that sum past the largest float
-        total_sq = math.inf
-    if not sys.float_info.min <= total_sq < math.inf:  # subnormal or beyond
-        raise NumericalError(
-            f"moment match lost the variance: sum of squared weights {total_sq!r}"
-        )
-    params = GammaParams(shape=total * total / total_sq, rate=total / total_sq)
-    if not math.isclose(params.mean, total, rel_tol=1e-9):
-        raise NumericalError(
-            f"moment match lost the mean: {params.mean!r} vs {total!r}"
-        )
-    if not math.isclose(params.variance, total_sq, rel_tol=1e-9):
-        raise NumericalError(
-            f"moment match lost the variance: {params.variance!r} vs {total_sq!r}"
-        )
-    return params
-
-
 def success_prob_general(
     num_antennas: int,
     k_self: int,
@@ -242,13 +186,18 @@ def success_prob_general(
 ) -> float:
     """P(SIR >= beta) for one stream against interferers with arbitrary streams.
 
-    The interference I = sum_m (1/k_m) sum_{l=1}^{k_m} I_{l,m} is a
-    weighted sum of unit exponentials, k_m copies of weight 1/k_m per
-    interferer.  Its density is replaced by the moment-matched gamma fit
-    from gamma_approx_params; the closed form then mirrors the equal-k
-    series with d = beta*k_self/alpha and a generally non-integer shape.
-    No special casing: when all k_m agree the fit is exact and the value
-    lands on success_prob_equal_k to floating-point accuracy.
+    The interference I = sum_m (1/k_m) sum_{l=1}^{k_m} I_{l,m} of n
+    interferers is a weighted sum of unit exponentials, k_m copies of
+    weight 1/k_m per interferer, so E[I] = n and Var[I] = sum_m 1/k_m.
+    Its density is replaced by the gamma law with those two moments,
+
+        shape = n^2 / sum_m 1/k_m,    rate = n / sum_m 1/k_m,
+
+    each rounded once from the exact rational sum.  The closed form then
+    mirrors the equal-k series with d = beta*k_self/rate and a generally
+    non-integer shape.  When every k_m equals k the fit is the exact law
+    Gamma(n*k, k), and the value is success_prob_equal_k's bit for bit.
+    Raises NumericalError when the shape is too large for a float.
     """
     num_antennas = check_int("num_antennas", num_antennas, 1)
     k_self = check_int("k_self", k_self, 1, num_antennas)
@@ -257,9 +206,16 @@ def success_prob_general(
         raise DomainError("k_others must name at least one interferer")
     check_positive("beta", beta)
 
-    weights = [1.0 / k for k in others for _ in range(k)]
-    params = gamma_approx_params(weights)
-    return _success(num_antennas, k_self, beta, [(params.shape, params.rate)])
+    n = len(others)
+    lcm = math.lcm(*others)
+    inv = sum(lcm // k for k in others)  # lcm * sum_m 1/k_m
+    try:
+        shape, rate = n * n * lcm / inv, n * lcm / inv
+    except OverflowError:
+        raise NumericalError(
+            f"gamma fit shape n^2 / sum(1/k_m) exceeds the largest float (n={n})"
+        ) from None
+    return _success(num_antennas, k_self, beta, [(shape, rate)])
 
 
 @dataclass(frozen=True)

@@ -180,10 +180,6 @@ class StreamAllocation:
     def uniform(cls, num_links: int, streams_per_link: int) -> "StreamAllocation":
         return cls((streams_per_link,) * check_int("num_links", num_links, 0))
 
-    @property
-    def num_links(self) -> int:
-        return len(self.streams)
-
     def others(self, link: int) -> tuple[int, ...]:
         """Stream counts of every link except ``link``."""
         check_int("link index", link, 0, len(self.streams) - 1)

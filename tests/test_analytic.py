@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -15,10 +16,9 @@ from oracles import (
     shifted_equal_k_series,
     weighted_exp_moments,
 )
+import zfoutage.analytic as analytic
 from zfoutage.analytic import (
-    GammaParams,
     NStarResult,
-    gamma_approx_params,
     link_success_prob,
     min_links_single_stream,
     multiset_sum_capacities,
@@ -128,82 +128,94 @@ class TestEqualKSuccess:
             success_prob_equal_k(True, 2, 1, 1, 1.0)
 
 
-class TestGammaParams:
-    def test_moments(self):
-        params = GammaParams(shape=8.0 / 3.0, rate=4.0 / 3.0)
-        np.testing.assert_allclose(params.mean, 2.0, rtol=1e-14)
-        np.testing.assert_allclose(params.variance, 1.5, rtol=1e-14)
+def _gamma_fit(k_others):
+    """(shape, rate) of the one group success_prob_general passes on."""
+    seen = []
+    success = analytic._success
 
-    @pytest.mark.parametrize("shape,rate", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
-    def test_invalid(self, shape, rate):
-        with pytest.raises(DomainError):
-            GammaParams(shape=shape, rate=rate)
+    def spy(num_antennas, k_self, beta, groups):
+        seen.append(list(groups))
+        return success(num_antennas, k_self, beta, groups)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analytic, "_success", spy)
+        success_prob_general(max(k_others), 1, k_others, 1.0)
+    [[fit]] = seen
+    return fit
+
+
+def _weights(k_others):
+    """k_m copies of 1/k_m per interferer: the interference's weights."""
+    return [1.0 / k for k in k_others for _ in range(k)]
 
 
 class TestGammaApprox:
+    def test_moments(self):
+        shape, rate = _gamma_fit([1, 2])
+        np.testing.assert_allclose(shape / rate, 2.0, rtol=1e-14)
+        np.testing.assert_allclose(shape / rate**2, 1.5, rtol=1e-14)
+
     def test_single_unit_weight(self):
-        params = gamma_approx_params([1.0])
-        assert (params.shape, params.rate) == (1.0, 1.0)
+        assert _gamma_fit([1]) == (1.0, 1.0)
 
     def test_equal_unit_weights_are_exact(self):
-        params = gamma_approx_params([1.0, 1.0, 1.0])
-        assert (params.shape, params.rate) == (3.0, 1.0)
+        assert _gamma_fit([1, 1, 1]) == (3.0, 1.0)
+        assert _gamma_fit([3, 3]) == (6.0, 3.0)
 
     def test_mixed_weights(self):
-        params = gamma_approx_params([1.0, 0.5, 0.5])
-        np.testing.assert_allclose(params.shape, 8.0 / 3.0, rtol=1e-14)
-        np.testing.assert_allclose(params.rate, 4.0 / 3.0, rtol=1e-14)
+        shape, rate = _gamma_fit([1, 2])  # weights 1, 1/2, 1/2
+        np.testing.assert_allclose(shape, 8.0 / 3.0, rtol=1e-14)
+        np.testing.assert_allclose(rate, 4.0 / 3.0, rtol=1e-14)
 
     def test_moments_match_target(self):
         rng = np.random.default_rng(99)
         for _ in range(50):
-            weights = rng.uniform(0.05, 2.0, size=int(rng.integers(1, 9)))
-            params = gamma_approx_params(weights)
-            mean, var = weighted_exp_moments(weights)
-            np.testing.assert_allclose(params.mean, mean, rtol=1e-12)
-            np.testing.assert_allclose(params.variance, var, rtol=1e-12)
+            count = int(rng.integers(1, 9))
+            k_others = [int(k) for k in rng.integers(1, 13, size=count)]
+            shape, rate = _gamma_fit(k_others)
+            mean, var = weighted_exp_moments(_weights(k_others))
+            np.testing.assert_allclose(shape / rate, mean, rtol=1e-14)
+            np.testing.assert_allclose(shape / rate**2, var, rtol=1e-14)
 
     def test_moments_against_sampled_sum(self):
-        weights = [1.0, 0.5, 0.5, 0.25]
-        params = gamma_approx_params(weights)
+        weights = _weights([1, 2, 4])  # 1, 1/2 twice, 1/4 four times
+        shape, rate = _gamma_fit([1, 2, 4])
         draws = sample_weighted_exp(weights, trials=1_000_000, seed=2024)
         _, var = weighted_exp_moments(weights)
         se_mean = math.sqrt(var / draws.size)
-        assert abs(draws.mean() - params.mean) < 4 * se_mean
+        assert abs(draws.mean() - shape / rate) < 4 * se_mean
         # Variance of the sample variance via the fourth central moment.
         centered = draws - draws.mean()
         m4 = float(np.mean(centered**4))
         se_var = math.sqrt((m4 - var**2) / draws.size)
-        assert abs(draws.var() - params.variance) < 4 * se_var
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            gamma_approx_params([])
-        with pytest.raises(DomainError):
-            gamma_approx_params([1.0, -0.5])
-
-    @pytest.mark.parametrize(
-        "weights", [[1e-200], [1e-160, 1e-160], [1e200], [1e154] * 3]
-    )
-    def test_lost_variance(self, weights):
-        # Valid weights whose sum of squares underflows, is subnormal or
-        # overflows: the fit cannot be formed, and the error names the
-        # moment that was lost.
-        with pytest.raises(NumericalError, match="lost the variance"):
-            gamma_approx_params(weights)
+        assert abs(draws.var() - shape / rate**2) < 4 * se_var
 
 
 class TestGeneralSuccess:
     def test_matches_equal_k_when_uniform(self):
-        for m in (1, 2, 4, 8):
-            for n in (2, 4, 16):
-                for k in {1, 2, m}:
-                    if k > m:
-                        continue
-                    for beta in (0.5, 1.0, 4.0):
-                        exact = success_prob_equal_k(m, n, k, k, beta)
-                        general = success_prob_general(m, k, [k] * (n - 1), beta)
-                        np.testing.assert_allclose(general, exact, rtol=1e-12)
+        # Equal counts fit Gamma(n*k, k) exactly, so the value is the
+        # equal-k series bit for bit.
+        for m in range(1, 11):
+            for n in range(2, 41):
+                for k_self, k in product(range(1, m + 1), repeat=2):
+                    for beta in (0.1, 1.0, 7.0):
+                        exact = success_prob_equal_k(m, n, k_self, k, beta)
+                        general = success_prob_general(m, k_self, [k] * (n - 1), beta)
+                        assert general == exact, (m, n, k_self, k, beta)
+
+    def test_large_counts_use_constant_memory(self):
+        # The fit never lists the sum of k_m weights.
+        tracemalloc.start()
+        try:
+            success_prob_general(10**5, 10**5, [10**5, 10**5], 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_fit_beyond_the_largest_float(self):
+        with pytest.raises(NumericalError, match="largest float"):
+            success_prob_general(10**309, 10**309, [10**309], 1.0)
 
     def test_mixed_interferers_stay_in_bounds(self):
         rng = np.random.default_rng(11)
@@ -226,6 +238,8 @@ class TestGeneralSuccess:
             success_prob_general(4, 2, [], 1.0)
         with pytest.raises(DomainError):
             success_prob_general(4, 2, [5], 1.0)
+        with pytest.raises(DomainError):
+            success_prob_general(4, 2, [1, 0], 1.0)
         with pytest.raises(DomainError):
             success_prob_general(4, 5, [1], 1.0)
 

@@ -152,7 +152,6 @@ class TestSystemConfig:
 class TestStreamAllocation:
     def test_helpers(self):
         alloc = StreamAllocation((2, 1, 3))
-        assert alloc.num_links == 3
         assert alloc.others(0) == (1, 3)
         assert alloc.others(2) == (2, 1)
         assert alloc.replace(1, 2).streams == (2, 2, 3)
