@@ -119,14 +119,21 @@ def success_prob_equal_k(
     """P(SIR >= beta) for one stream when every interferer runs k_other streams.
 
     The interference k_other * I is a sum of (N-1)*k_other unit
-    exponentials, so the result is exact (no moment matching).
+    exponentials, so the result is exact (no moment matching).  Raises
+    NumericalError when that count is too large for the series' floats.
     """
     num_antennas = check_int("num_antennas", num_antennas, 1)
     num_links = check_int("num_links", num_links, 2)
     k_self = check_int("k_self", k_self, 1, num_antennas)
     k_other = check_int("k_other", k_other, 1, num_antennas)
     check_positive("beta", beta)
-    return _success_equal_k(num_antennas, num_links, k_self, k_other, beta)
+    try:
+        return _success_equal_k(num_antennas, num_links, k_self, k_other, beta)
+    except OverflowError:
+        raise NumericalError(
+            "interfering stream count (N-1)*k_other overflows the largest float "
+            "in the series"
+        ) from None
 
 
 # Relative gap between a link count's two largest ranked capacities at or
@@ -197,7 +204,7 @@ def success_prob_general(
     mirrors the equal-k series with d = beta*k_self/rate and a generally
     non-integer shape.  When every k_m equals k the fit is the exact law
     Gamma(n*k, k), and the value is success_prob_equal_k's bit for bit.
-    Raises NumericalError when the shape is too large for a float.
+    Raises NumericalError when the shape is too large for the series' floats.
     """
     num_antennas = check_int("num_antennas", num_antennas, 1)
     k_self = check_int("k_self", k_self, 1, num_antennas)
@@ -211,11 +218,12 @@ def success_prob_general(
     inv = sum(lcm // k for k in others)  # lcm * sum_m 1/k_m
     try:
         shape, rate = n * n * lcm / inv, n * lcm / inv
+        return _success(num_antennas, k_self, beta, [(shape, rate)])
     except OverflowError:
         raise NumericalError(
-            f"gamma fit shape n^2 / sum(1/k_m) exceeds the largest float (n={n})"
+            f"gamma fit shape n^2 / sum(1/k_m) overflows the largest float in "
+            f"the series (n={n})"
         ) from None
-    return _success(num_antennas, k_self, beta, [(shape, rate)])
 
 
 @dataclass(frozen=True)

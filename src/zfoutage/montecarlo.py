@@ -13,7 +13,7 @@ stream, Philox(key=seed, counter=[0, 0, b, purpose<<32 | unit]).  Blocks
 are merged in index order, so results depend only on (arguments, seed),
 never on the worker count.  Parallel blocks run on a thread pool that
 each call opens and shuts down before it returns: numpy's generators and
-LAPACK release the GIL, and no block shares state with another.  Within
+array kernels release the GIL, and no block shares state with another.  Within
 a block the draw order is fixed: interference entries first, then the
 self matrix.  Keeping the interference draws first means estimates for
 different k_self candidates under one seed share their interference
@@ -73,8 +73,8 @@ __all__ = [
 
 BLOCK_TRIALS = 8192
 
-# Relative QR-diagonal floor below which a draw is treated as degenerate
-# and resampled.
+# Relative floor on the |R_jj| of the other own columns (their
+# Gram-Schmidt norms) below which a draw is degenerate and resampled.
 _RANK_TOL = 1e-10
 
 # Most candidates one block task of link_success_table covers, so that a
@@ -176,10 +176,12 @@ def _zf_trials(
 ):
     """One k_self's trials on the draws ``h_int`` and ``h_self``, rng just after them.
 
-    Returns (signal, [interference per weight vector], resampled).  A
-    degenerate self draw is resampled together with fresh interference.
-    A round with no degenerate row reads its draws through views, so
-    only a resample round copies rows.
+    Returns (signal, [interference per weight vector], resampled).  The
+    receive vector of stream 1 is its own column zero-forced against the
+    other k_self - 1 own columns (_zf_residual), normalized.  A
+    degenerate self draw, or one that leaves no signal, is resampled
+    together with fresh interference.  A round with no degenerate row
+    reads its draws through views, so only a resample round copies rows.
     """
     size, m, k_int = h_int.shape
     k_self = h_self.shape[2]
@@ -192,20 +194,12 @@ def _zf_trials(
         if h_self is None:
             h_int = _complex_normal(rng, (b, m, k_int))
             h_self = _complex_normal(rng, (b, m, k_self))
-        target = h_self[:, :, 0]
         if k_self == 1:
-            s = np.einsum("bm,bm->b", target, target.conj()).real
-            bad = s == 0.0
-            residual = target
+            residual, bad = h_self[:, :, 0], False
         else:
-            q_mat, r_mat = np.linalg.qr(h_self[:, :, 1:])
-            diag = np.abs(np.diagonal(r_mat, axis1=1, axis2=2))
-            dmax = diag.max(axis=1)
-            bad = (dmax == 0.0) | (diag.min(axis=1) < _RANK_TOL * dmax)
-            coeff = np.einsum("bmr,bm->br", q_mat.conj(), target)
-            residual = target - np.einsum("bmr,br->bm", q_mat, coeff)
-            s = np.einsum("bm,bm->b", residual, residual.conj()).real
-            bad |= s == 0.0
+            residual, bad = _zf_residual(h_self)
+        s = np.einsum("bm,bm->b", residual, residual.conj()).real
+        bad = bad | (s == 0.0)
         good = ~bad if bad.any() else slice(None)
         rows = pending[good]
         norm = np.sqrt(s[good])
@@ -219,6 +213,31 @@ def _zf_trials(
         resampled += int(bad.sum())
         h_self = None
     return signal, interference, resampled
+
+
+def _zf_residual(h_self: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(residual, degenerate) of a (trials, M, k_self) self draw, k_self >= 2.
+
+    Column 0 less its projection onto columns 1.., by modified
+    Gram-Schmidt over all trials at once: on a copy laid out (column,
+    antenna, trial), column 0 last, each of the k_self - 1 steps is a few
+    array operations along the contiguous trial axis.  Step j's norms are
+    the |R_jj| of a QR of columns 1..; a trial is degenerate when they
+    fall below _RANK_TOL times their largest.
+    """
+    size, m, k_self = h_self.shape
+    cols = np.empty((k_self, m, size), dtype=np.complex128)
+    cols[:-1] = h_self[:, :, 1:].transpose(2, 1, 0)
+    cols[-1] = h_self[:, :, 0].T
+    norms = np.empty((k_self - 1, size))
+    for j in range(k_self - 1):
+        col, later = cols[j], cols[j + 1 :]
+        norms[j] = np.sqrt(np.einsum("mb,mb->b", col, col.conj()).real)
+        # A zero column stays zero instead of 0/0; its norm flags the trial.
+        np.divide(col, norms[j], out=col, where=norms[j] != 0.0)
+        later -= col * np.einsum("mb,rmb->rb", col.conj(), later)[:, None, :]
+    dmax = norms.max(axis=0)
+    return cols[-1].T, (dmax == 0.0) | (norms.min(axis=0) < _RANK_TOL * dmax)
 
 
 def _hits(signal, interference, k_self: int, beta: float) -> int:

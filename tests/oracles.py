@@ -6,9 +6,12 @@ from scipy's regularized incomplete gamma or direct series summation,
 success probabilities from adaptive quadrature over the interference
 density or from the Taylor expansion of its Laplace transform, and the
 SIR of one trial from an explicit per-trial zero-forcing vector (SVD of
-the excluded columns) instead of the batched QR kernel.  Three things are shared with the package.  Its random
-streams: ``link_power_samples`` replays the full-channel sampler's draws
-so its marginals describe the very trials the sampler scores.  And its
+the excluded columns) instead of the batched Gram-Schmidt kernel, and
+that kernel's trials from the one LAPACK QR per trial that it used
+before (``qr_zf_trials``).  Three things are shared with the package.
+Its random streams: ``link_power_samples`` replays the full-channel
+sampler's draws so its marginals describe the very trials the sampler
+scores.  And its
 block kernels: ``link_sir_samples`` and ``direct_sir_samples`` return
 the raw SIR samples that the library only reduces to estimates, so the
 distributional tests look at exactly the sampled trials.  And its exact
@@ -437,10 +440,10 @@ def link_power_samples(
 
     Replays the full-channel sampler's draws block by block, in its order
     (every interference column first, then the self matrix), and nulls
-    them with a batched pseudo-inverse instead of the sampler's QR.  The
-    summands are the raw |q H(l)|^2 values, before the 1/k_m weighting;
-    each is claimed to have unit mean.  A degenerate draw, which the
-    sampler would resample, raises NumericalError.
+    them with a batched pseudo-inverse instead of the sampler's
+    Gram-Schmidt.  The summands are the raw |q H(l)|^2 values, before the
+    1/k_m weighting; each is claimed to have unit mean.  A degenerate
+    draw, which the sampler would resample, raises NumericalError.
     """
     alloc.validate_against(config)
     m, k_self = config.num_antennas, alloc.streams[link]
@@ -463,6 +466,58 @@ def link_power_samples(
         signals.append(signal)
         summands.append(np.abs((q @ h_int)[:, 0, :]) ** 2)
     return np.concatenate(signals), np.concatenate(summands)
+
+
+def qr_zf_trials(
+    rng: np.random.Generator, h_int: np.ndarray, h_self: np.ndarray, weights
+):
+    """``montecarlo._zf_trials`` with its residual from one LAPACK QR per trial.
+
+    The sampler's kernel before it zero-forced by Gram-Schmidt over the
+    trial axis, kept verbatim: a degenerate draw is one whose QR diagonal
+    |R_jj| falls below ``montecarlo._RANK_TOL`` times its largest, or
+    whose residual is exactly zero, and it is resampled from ``rng`` in
+    the same order.  Returns (signal, [interference per weight vector],
+    resampled).
+    """
+    size, m, k_int = h_int.shape
+    k_self = h_self.shape[2]
+    signal = np.empty(size)
+    interference = [np.empty(size) for _ in weights]
+    pending = np.arange(size)
+    resampled = 0
+    while pending.size:
+        b = pending.size
+        if h_self is None:
+            h_int = montecarlo._complex_normal(rng, (b, m, k_int))
+            h_self = montecarlo._complex_normal(rng, (b, m, k_self))
+        target = h_self[:, :, 0]
+        if k_self == 1:
+            s = np.einsum("bm,bm->b", target, target.conj()).real
+            bad = s == 0.0
+            residual = target
+        else:
+            q_mat, r_mat = np.linalg.qr(h_self[:, :, 1:])
+            diag = np.abs(np.diagonal(r_mat, axis1=1, axis2=2))
+            dmax = diag.max(axis=1)
+            bad = (dmax == 0.0) | (diag.min(axis=1) < montecarlo._RANK_TOL * dmax)
+            coeff = np.einsum("bmr,bm->br", q_mat.conj(), target)
+            residual = target - np.einsum("bmr,br->bm", q_mat, coeff)
+            s = np.einsum("bm,bm->b", residual, residual.conj()).real
+            bad |= s == 0.0
+        good = ~bad if bad.any() else slice(None)
+        rows = pending[good]
+        norm = np.sqrt(s[good])
+        q = residual[good].conj() / norm[:, None]
+        z = np.einsum("bm,bmk->bk", q, h_int[good])
+        powers = (z.real * z.real + z.imag * z.imag)
+        signal[rows] = s[good]
+        for arr, w in zip(interference, weights):
+            arr[rows] = powers @ w
+        pending = pending[bad]
+        resampled += int(bad.sum())
+        h_self = None
+    return signal, interference, resampled
 
 
 def link_sir_samples(

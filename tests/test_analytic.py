@@ -127,6 +127,17 @@ class TestEqualKSuccess:
         with pytest.raises(DomainError):
             success_prob_equal_k(True, 2, 1, 1, 1.0)
 
+    @pytest.mark.parametrize(
+        "args",
+        [(10**309, 2, 10**309, 10**309, 1.0), (2, 10**308, 1, 1, 1.0)],
+        ids=["count_beyond_float", "log_gamma_beyond_float"],
+    )
+    def test_interferer_count_beyond_the_float_range(self, args):
+        # (N-1)*k_other past the largest float, or a finite one whose
+        # log-gamma overflows: a NumericalError, not a bare OverflowError.
+        with pytest.raises(NumericalError, match="largest float"):
+            success_prob_equal_k(*args)
+
 
 def _gamma_fit(k_others):
     """(shape, rate) of the one group success_prob_general passes on."""
@@ -216,6 +227,11 @@ class TestGeneralSuccess:
     def test_fit_beyond_the_largest_float(self):
         with pytest.raises(NumericalError, match="largest float"):
             success_prob_general(10**309, 10**309, [10**309], 1.0)
+
+    def test_fit_whose_log_gamma_overflows(self):
+        # A finite shape of 2e307 overflows math.lgamma in the series.
+        with pytest.raises(NumericalError, match="largest float"):
+            success_prob_general(10**307, 10**307, [10**307, 10**307], 1.0)
 
     def test_mixed_interferers_stay_in_bounds(self):
         rng = np.random.default_rng(11)

@@ -18,6 +18,7 @@ from oracles import (
     direct_sir_samples,
     link_power_samples,
     link_sir_samples,
+    qr_zf_trials,
     sample_channel,
     stream_sir,
     zf_nulling_vector,
@@ -283,6 +284,83 @@ class TestKernelMatchesReference:
             link_sir_samples(config, alloc, link, trials, 5),
             rtol=1e-9,
         )
+
+
+def _zf_both(rng, h_int, h_self, weights):
+    """(Gram-Schmidt kernel, QR reference) results on the same draws and stream."""
+    state = rng.bit_generator.state
+    kernel = montecarlo._zf_trials(rng, h_int, h_self, weights)
+    rng.bit_generator.state = state
+    return kernel, qr_zf_trials(rng, h_int, h_self, weights)
+
+
+class TestGramSchmidtKernel:
+    @pytest.mark.parametrize("rank_tol", [None, 0.3], ids=["default", "coarse"])
+    @pytest.mark.parametrize(
+        "m, k_self", [(2, 2), (4, 2), (4, 4), (8, 2), (8, 8), (10, 2), (10, 10)]
+    )
+    def test_matches_qr_reference(self, monkeypatch, m, k_self, rank_tol):
+        # One full block per case: the same hits at three thresholds and
+        # the same resamples as one LAPACK QR per trial, and powers equal
+        # to rounding.  The coarse floor makes both paths resample often.
+        if rank_tol is not None:
+            monkeypatch.setattr(montecarlo, "_RANK_TOL", rank_tol)
+        weights = [
+            montecarlo._column_weights(others) for others in [(1, 2, m), (m, 2, 1)]
+        ]
+        rng = montecarlo._block_rng(41, montecarlo._PURPOSE_LINK, m, k_self)
+        h_int = montecarlo._complex_normal(rng, (BLOCK_TRIALS, m, m + 3))
+        h_self = montecarlo._complex_normal(rng, (BLOCK_TRIALS, m, k_self))
+        kernel, reference = _zf_both(rng, h_int, h_self, weights)
+        signal, interference, resampled = kernel
+        ref_signal, ref_interference, ref_resampled = reference
+        assert resampled == ref_resampled
+        # A single other column has no norm ratio to fall below the floor.
+        assert (resampled > 0) == (rank_tol is not None and k_self > 2)
+        np.testing.assert_allclose(signal, ref_signal, rtol=1e-12, atol=0)
+        for arr, ref in zip(interference, ref_interference):
+            np.testing.assert_allclose(arr, ref, rtol=1e-12, atol=0)
+            for beta in (0.25, 1.0, 4.0):
+                assert montecarlo._hits(signal, arr, k_self, beta) == montecarlo._hits(
+                    ref_signal, ref, k_self, beta
+                )
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # M = 3, k_self = 3: column 0 is the stream, 1 and 2 the others.
+            [
+                [[1, 2j, 0], [0, 1, 1j], [1j, 0, 1]],  # full rank
+                [[1, 0, 1], [2, 0, 1j], [3, 0, 0]],  # zero other column
+                [[1, 1, 0], [0, 1j, 0], [1, 2, 0]],  # the other zero column
+                [[1, 1 + 1j, 1 + 1j], [0, 2, 2], [1j, 3j, 3j]],  # equal others
+                [[2, 1, 0], [3, 0, 1], [0, 0, 0]],  # stream in their span
+                [[0, 1, 0], [0, 0, 1], [0, 1, 1]],  # zero stream column
+                [[0, 0, 0], [0, 0, 0], [0, 0, 0]],  # all zero
+            ],
+            # M = 2, k_self = 2: a single other column.
+            [
+                [[1, 1j], [1j, 2]],  # full rank
+                [[1, 0], [1, 0]],  # zero other column
+                [[1 + 2j, 1], [0, 0]],  # stream parallel to it
+                [[0, 1], [0, 1j]],  # zero stream column
+            ],
+        ],
+        ids=["M3", "M2"],
+    )
+    def test_exact_degeneracy_is_resampled(self, rows):
+        # Every crafted row but the first is degenerate.  Both paths must
+        # flag exactly those and replace them by fresh finite trials; a
+        # zero column must not divide 0 by 0 into a NaN scored as a miss.
+        h_self = np.array(rows, dtype=np.complex128)
+        size, m, _ = h_self.shape
+        rng = montecarlo._block_rng(5, montecarlo._PURPOSE_LINK, 0, 0)
+        h_int = montecarlo._complex_normal(rng, (size, m, 2))
+        weights = [np.full(2, 0.5)]
+        for signal, [interference], resampled in _zf_both(rng, h_int, h_self, weights):
+            assert resampled == size - 1
+            assert np.isfinite(signal).all() and (signal > 0).all()
+            assert np.isfinite(interference).all()
 
 
 class TestEstimatorDeterminism:
