@@ -100,13 +100,13 @@ def _success(
     return clamp_probability(_series_sum(num_antennas - k_self, beta * k_self, groups))
 
 
-def _success_equal_k(
-    num_antennas: int, num_links: int, k_self: int, k_other: int, beta: float
-) -> float:
-    """success_prob_equal_k, bit for bit, without its argument checks."""
-    return _success(
-        num_antennas, k_self, beta, [(float((num_links - 1) * k_other), k_other)]
-    )
+def _groups(others: Sequence[int]) -> list[tuple[float, int]]:
+    """Interference groups of the other links' stream counts.
+
+    The c_k other links that run k streams form the group
+    Gamma(c_k*k, k) of the interference, taken in ascending k.
+    """
+    return [(float(others.count(k) * k), k) for k in sorted(set(others))]
 
 
 def success_prob_equal_k(
@@ -128,7 +128,8 @@ def success_prob_equal_k(
     k_other = check_int("k_other", k_other, 1, num_antennas)
     check_positive("beta", beta)
     try:
-        return _success_equal_k(num_antennas, num_links, k_self, k_other, beta)
+        group = [(float((num_links - 1) * k_other), k_other)]
+        return _success(num_antennas, k_self, beta, group)
     except OverflowError:
         raise NumericalError(
             "interfering stream count (N-1)*k_other overflows the largest float "
@@ -160,9 +161,9 @@ def _rank_equal_k(
     lie within a relative _RANK_REL_GAP, or some candidate's t_0 is below
     the smallest normal float.  It never returns a value that is
     printed; the caller decides every undecided N, every close call
-    among them, with the exact kernel, _success_equal_k.  Where the gap
-    is wider, both sums are accurate far inside it, so the best k_self
-    is the exact kernel's too.
+    among them, with the exact kernel: _success against the one group
+    ((N-1)*k_other, k_other).  Where the gap is wider, both sums are
+    accurate far inside it, so the best k_self is the exact kernel's too.
     """
     d = [beta * k / k_other for k in range(1, num_antennas + 1)]
     log1p_d = np.array([math.log1p(x) for x in d])
@@ -324,15 +325,10 @@ def min_links_single_stream(
 def link_success_prob(
     config: SystemConfig, alloc: StreamAllocation, link: int
 ) -> float:
-    """Exact P(SIR >= beta) for one link of an allocation.
-
-    The c_k other links that run k streams form the group
-    Gamma(c_k*k, k) of the interference, taken in ascending k.
-    """
+    """Exact P(SIR >= beta) for one link of an allocation, by _groups."""
     alloc.validate_against(config)
-    others = alloc.others(link)
+    groups = _groups(alloc.others(link))  # checks the link index first
     k_self = alloc.streams[link]
-    groups = [(float(others.count(k) * k), k) for k in sorted(set(others))]
     return _success(config.num_antennas, k_self, config.sir_threshold, groups)
 
 

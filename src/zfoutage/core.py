@@ -169,7 +169,12 @@ class StreamAllocation:
     streams: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        streams = tuple(check_int("stream count", k, 1) for k in self.streams)
+        try:
+            streams = tuple(check_int("stream count", k, 1) for k in self.streams)
+        except TypeError:  # not iterable: check_int raises no TypeError
+            raise DomainError(
+                f"stream counts must be a sequence, got {self.streams!r}"
+            ) from None
         object.__setattr__(self, "streams", streams)
         if len(streams) < 2:
             raise DomainError(

@@ -17,7 +17,6 @@ from itertools import combinations_with_replacement, islice, product
 from . import analytic
 from .analytic import (
     NStarResult,
-    link_success_prob,
     min_links_single_stream,
     multiset_sum_capacities,
     sum_capacity_analytic,
@@ -95,26 +94,14 @@ def _check_objective(objective: str, trials, seed) -> None:
         raise DomainError("montecarlo objective requires trials and seed")
 
 
-def _link_capacities(
-    config: SystemConfig,
-    allocs: list[StreamAllocation],
-    link: int,
-    objective: str,
-    trials,
-    seed,
-    workers,
-) -> list[float]:
-    """Capacity of ``link`` under each allocation in ``allocs``, in order.
+def _link_capacities(config: SystemConfig, allocs, link: int, trials, seed, workers):
+    """Monte Carlo capacity of ``link`` under each of ``allocs``, in order.
 
-    Monte Carlo estimates come from one link_success_table call, so the
+    The estimates come from one link_success_table call, so the
     allocations share their draws.
     """
-    if objective == "analytic":
-        probs = [link_success_prob(config, alloc, link) for alloc in allocs]
-    else:
-        table = link_success_table(config, allocs, link, trials, seed, workers=workers)
-        probs = [est.prob for est in table]
-    return [config.rate * alloc.streams[link] * p for alloc, p in zip(allocs, probs)]
+    table = link_success_table(config, allocs, link, trials, seed, workers=workers)
+    return [config.rate * a.streams[link] * est.prob for a, est in zip(allocs, table)]
 
 
 def _first_max(candidates, value):
@@ -131,6 +118,14 @@ def _first_max(candidates, value):
     return best
 
 
+def _exact_best_response(num_antennas: int, beta: float, groups, rate: float) -> int:
+    """First k = 1..M of largest rate * k * analytic._success against ``groups``."""
+    return _first_max(
+        range(1, num_antennas + 1),
+        lambda k: rate * k * analytic._success(num_antennas, k, beta, groups),
+    )
+
+
 def best_response(
     config: SystemConfig,
     alloc: StreamAllocation,
@@ -145,17 +140,21 @@ def best_response(
 
     Candidates k = 1..M are scanned in increasing order and only a
     strict improvement replaces the incumbent, so ties resolve to the
-    smallest k.  The montecarlo objective reuses one seed for every
-    candidate (common random numbers).
+    smallest k.  The analytic objective builds no candidate allocation;
+    the montecarlo objective reuses one seed for every candidate (common
+    random numbers).
     """
     alloc.validate_against(config)
     check_int("link index", link_index, 0, config.num_links - 1)
     _check_objective(objective, trials, seed)
+    if objective == "analytic":
+        groups = analytic._groups(alloc.others(link_index))
+        return _exact_best_response(
+            config.num_antennas, config.sir_threshold, groups, config.rate
+        )
     streams = range(1, config.num_antennas + 1)
     candidates = [alloc.replace(link_index, k) for k in streams]
-    capacities = _link_capacities(
-        config, candidates, link_index, objective, trials, seed, workers
-    )
+    capacities = _link_capacities(config, candidates, link_index, trials, seed, workers)
     values = dict(zip(streams, capacities))
     return _first_max(values, values.get)
 
@@ -207,9 +206,7 @@ def maximize_sum_capacity(
                 allocs = list(map(StreamAllocation, chunk))
                 # Each row is summed as an OutageReport sums its links.
                 columns = [
-                    _link_capacities(
-                        config, allocs, link, objective, trials, seed, workers
-                    )
+                    _link_capacities(config, allocs, link, trials, seed, workers)
                     for link in range(n)
                 ]
                 table.update(zip(chunk, map(math.fsum, zip(*columns))))
@@ -274,14 +271,9 @@ def _equal_k_best_responses(num_antennas: int, beta: float, k_other: int, last: 
     """Best response of one link at N = 2..last, every other link at k_other.
 
     Each chunk of N is ranked by analytic._rank_equal_k.  An N that the
-    ranking leaves undecided gets best_response's answer from the exact
-    kernel: the first k of largest closed-form capacity.
+    ranking leaves undecided gets _exact_best_response's answer against
+    the one group ((N-1)*k_other, k_other), at rate 1.
     """
-
-    def capacity(n: int, k: int) -> float:
-        return k * analytic._success_equal_k(num_antennas, n, k, k_other, beta)
-
-    streams = range(1, num_antennas + 1)
     first, size = 2, min(64, _SCAN_CHUNK)
     while first <= last:
         count = min(size, last - first + 1)
@@ -292,7 +284,8 @@ def _equal_k_best_responses(num_antennas: int, beta: float, k_other: int, last: 
             range(first, first + count), ranked.tolist(), undecided.tolist()
         ):
             if exact:
-                best_k = _first_max(streams, lambda k: capacity(n, k))
+                group = [(float((n - 1) * k_other), k_other)]
+                best_k = _exact_best_response(num_antennas, beta, group, 1.0)
             yield best_k
         first += count
         size = min(2 * size, _SCAN_CHUNK)

@@ -223,7 +223,8 @@ def exact_threshold(
     cap = check_int("cap", cap, 2)
 
     def capacity(n: int, k: int) -> float:
-        return k * analytic._success_equal_k(num_antennas, n, k, k_other, beta)
+        group = [(float((n - 1) * k_other), k_other)]
+        return k * analytic._success(num_antennas, k, beta, group)
 
     streams = range(1, num_antennas + 1)
     run_start = None

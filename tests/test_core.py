@@ -170,7 +170,9 @@ class TestStreamAllocation:
         with pytest.raises(DomainError):
             StreamAllocation((1, 3, 1)).validate_against(cfg)
 
-    @pytest.mark.parametrize("streams", [(1,), (0, 1), (-1, 2), (1.7, 2), (True, 2)])
+    @pytest.mark.parametrize(
+        "streams", [(1,), (0, 1), (-1, 2), (1.7, 2), (True, 2), 5, None]
+    )
     def test_invalid(self, streams):
         with pytest.raises(DomainError):
             StreamAllocation(streams)

@@ -64,12 +64,30 @@ class TestBestResponse:
         for _ in range(20):
             m = int(rng.integers(1, 6))
             n = int(rng.integers(2, 7))
-            cfg = SystemConfig(n, m, float(rng.uniform(0.2, 4.0)))
+            beta = float(rng.uniform(0.2, 4.0))
             alloc = StreamAllocation(
                 tuple(int(rng.integers(1, m + 1)) for _ in range(n))
             )
             link = int(rng.integers(0, n))
-            assert best_response(cfg, alloc, link) == _direct_argmax(cfg, alloc, link)
+            for rate in (1.0, 0.3, 1.7):
+                cfg = SystemConfig(n, m, beta, rate)
+                assert best_response(cfg, alloc, link) == _direct_argmax(
+                    cfg, alloc, link
+                )
+
+    def test_builds_no_candidate_allocation(self, count_closed_forms, monkeypatch):
+        # One closed form per candidate k, with no candidate allocation
+        # built and no per-allocation link_success_prob call.
+        def explode(*args, **kwargs):
+            raise AssertionError("candidate allocation built")
+
+        monkeypatch.setattr(StreamAllocation, "replace", explode)
+        monkeypatch.setattr(analytic, "link_success_prob", explode)
+        cfg = SystemConfig(30, 10, 1.3)
+        k, calls = count_closed_forms(
+            best_response, cfg, StreamAllocation.uniform(30, 1), 0
+        )
+        assert (k, calls) == (1, 10)
 
     def test_crowded_mixed_interferers_prefer_single_stream(self):
         rng = np.random.default_rng(1)
