@@ -16,74 +16,12 @@ capacity search over allocations, and the link-count thresholds past
 which a single stream per link is the right choice.
 """
 
-from .core import (
-    CLAMP_TOL,
-    DomainError,
-    NumericalError,
-    OutageReport,
-    SearchBudgetError,
-    StreamAllocation,
-    SystemConfig,
-    ZfOutageError,
-    clamp_count,
-    clamp_probability,
-    reset_clamp_count,
-)
-from .analytic import (
-    NStarResult,
-    link_success_prob,
-    min_links_single_stream,
-    multiset_sum_capacities,
-    success_prob_equal_k,
-    success_prob_general,
-    sum_capacity_analytic,
-)
-from .montecarlo import (
-    MonteCarloEstimate,
-    direct_distribution_outage,
-    empirical_link_success,
-    empirical_outage,
-    link_success_sweep,
-    link_success_table,
-)
-from .optimizer import (
-    SearchResult,
-    ThresholdResult,
-    best_response,
-    empirical_threshold,
-    maximize_sum_capacity,
-)
+from . import analytic, core, montecarlo, optimizer
+from .core import *
+from .analytic import *
+from .montecarlo import *
+from .optimizer import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CLAMP_TOL",
-    "DomainError",
-    "MonteCarloEstimate",
-    "NStarResult",
-    "NumericalError",
-    "OutageReport",
-    "SearchBudgetError",
-    "SearchResult",
-    "StreamAllocation",
-    "SystemConfig",
-    "ThresholdResult",
-    "ZfOutageError",
-    "best_response",
-    "clamp_count",
-    "clamp_probability",
-    "direct_distribution_outage",
-    "empirical_link_success",
-    "empirical_outage",
-    "empirical_threshold",
-    "link_success_prob",
-    "link_success_sweep",
-    "link_success_table",
-    "maximize_sum_capacity",
-    "min_links_single_stream",
-    "multiset_sum_capacities",
-    "reset_clamp_count",
-    "success_prob_equal_k",
-    "success_prob_general",
-    "sum_capacity_analytic",
-]
+__all__ = core.__all__ + analytic.__all__ + montecarlo.__all__ + optimizer.__all__

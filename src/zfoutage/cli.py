@@ -123,12 +123,11 @@ _COMMAND_DEFAULTS = {
     "fig3": {"antennas": 3, "links": 3},
 }
 
-# Figure flags, and the figures that read them.
-_FIGURE_FLAGS = {
-    "links": ("fig2", "fig3"),
-    "beta": ("fig1", "fig3"),
-    "n_list": ("fig1",),
-    "beta_list": ("fig2",),
+# The flags each figure reads, in the order its stamp names them.
+_FIGURES = {
+    "fig1": ("beta", "n_list"),
+    "fig2": ("links", "beta_list"),
+    "fig3": ("links", "beta"),
 }
 
 # Column suffixes (analytic, Monte Carlo) of the two backends' cells.
@@ -210,8 +209,10 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
 
     flags = {key: value for key, value in vars(args).items() if value is not None}
     if args.command == "figure":
-        for key, figures in _FIGURE_FLAGS.items():
-            if key in flags and args.which not in figures:
+        # In a fixed order, not a set's: of two misplaced flags, the error
+        # names the same one on every run.
+        for key in dict.fromkeys(chain.from_iterable(_FIGURES.values())):
+            if key in flags and key not in _FIGURES[args.which]:
                 flag = "--" + key.replace("_", "-")
                 raise DomainError(f"{flag} does not apply to {args.which}")
     for key, option in _OPTIONS.items():
@@ -390,59 +391,55 @@ def cmd_capacity(run: argparse.Namespace) -> int:
 def cmd_figure(run: argparse.Namespace) -> int:
     """Reproduce a standard dataset."""
     stamp = _stamp(run, "which", "antennas", "rate", "backend")
+    for key in _FIGURES[run.which]:
+        value = getattr(run, key)
+        stamp[key] = ",".join(map(str, value)) if isinstance(value, tuple) else value
     if run.which == "fig3":
-        stamp["links"] = run.links
-        stamp["beta"] = run.beta
         config = SystemConfig(run.links, run.antennas, run.beta, run.rate)
         _emit(run, stamp, *_allocation_sweep(run, config, _FIGURE, False))
         return 0
 
     # fig1 sweeps the link count at one threshold, fig2 the threshold at
-    # one link count; both vary the streams k1 of link 0 only.
+    # one link count; both vary the streams k1 of link 0 only.  Per link
+    # count, the (printed value, scenario) pairs of its rows: every
+    # scenario is checked before any simulation.
     if run.which == "fig1":
-        stamp["beta"] = run.beta
-        stamp["n_list"] = ",".join(str(n) for n in run.n_list)
-        column, values = "links", run.n_list
+        column = "links"
+        per_links = [
+            [(n, SystemConfig(n, run.antennas, run.beta, run.rate))] for n in run.n_list
+        ]
     else:
-        stamp["links"] = run.links
-        stamp["beta_list"] = ",".join(repr(b) for b in run.beta_list)
-        column, values = "beta", run.beta_list
-    # Only link 0's estimates are printed, so only link 0 is simulated.
+        column = "beta"
+        per_links = [[
+            (b, SystemConfig(run.links, run.antennas, b, run.rate))
+            for b in run.beta_list
+        ]]
     k1_values = range(1, run.antennas + 1)
-    if run.backend != "analytic" and column == "beta":
-        # The draws never depend on beta: one sweep per k1 gives every
-        # threshold's estimate, bitwise the single-threshold one.
-        config = SystemConfig(run.links, run.antennas, values[0], run.rate)
-        per_beta = zip(*[
-            montecarlo.link_success_sweep(
-                config, StreamAllocation((k1,) + (1,) * (run.links - 1)), 0,
-                values, run.trials, run.seed, workers=run.workers,
-            )
-            for k1 in k1_values
-        ])
     cells = {b: _LINK_CELLS[b] for b in _LINK_CELLS if run.backend in (b, "both")}
     columns = _columns((column, "k1"), cells, _FIGURE, False)
     rows = []
-    for value in values:
-        links, beta = (value, run.beta) if column == "links" else (run.links, value)
-        config = SystemConfig(links, run.antennas, beta, run.rate)
-        if run.backend != "analytic" and column == "links":
-            # fig1 simulates each link count in one table over k1.
+    for scenarios in per_links:
+        links = scenarios[0][1].num_links
+        if run.backend != "analytic":
+            # One grid over k1 and the thresholds.  Only link 0's estimates
+            # are printed, so only link 0 is simulated, and each entry is
+            # bitwise its own empirical_link_success call.
             allocs = [StreamAllocation((k1,) + (1,) * (links - 1)) for k1 in k1_values]
-            estimates = montecarlo.link_success_table(
-                config, allocs, 0, run.trials, run.seed, workers=run.workers
+            grid = montecarlo._link_estimates(
+                scenarios[0][1], allocs, 0, [c.sir_threshold for _, c in scenarios],
+                run.trials, run.seed, run.workers,
             )
-        elif run.backend != "analytic":
-            estimates = next(per_beta)
-        for k1 in k1_values:
-            row = (value, k1)
-            if run.backend != "mc":
-                p = analytic.success_prob_equal_k(run.antennas, links, k1, 1, beta)
-                row += (p, run.rate * k1 * p)
-            if run.backend != "analytic":
-                est = estimates[k1 - 1]
-                row += (est.prob, est.std_error, run.rate * k1 * est.prob)
-            rows.append(row)
+        for j, (value, config) in enumerate(scenarios):
+            for k1 in k1_values:
+                row = (value, k1)
+                if run.backend != "mc":
+                    beta = config.sir_threshold
+                    p = analytic.success_prob_equal_k(run.antennas, links, k1, 1, beta)
+                    row += (p, run.rate * k1 * p)
+                if run.backend != "analytic":
+                    est = grid[k1 - 1][j]
+                    row += (est.prob, est.std_error, run.rate * k1 * est.prob)
+                rows.append(row)
     _emit(run, stamp, columns, rows)
     return 0
 

@@ -28,8 +28,6 @@ __all__ = [
     "NumericalError",
     "SearchBudgetError",
     "CLAMP_TOL",
-    "check_int",
-    "check_positive",
     "clamp_probability",
     "clamp_count",
     "reset_clamp_count",

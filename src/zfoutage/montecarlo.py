@@ -62,7 +62,6 @@ from .core import (
 )
 
 __all__ = [
-    "BLOCK_TRIALS",
     "MonteCarloEstimate",
     "empirical_link_success",
     "link_success_table",

@@ -351,6 +351,61 @@ class TestFigureCommands:
             2, "", "error: expected comma-separated values, got ''\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("fig3", "--n-list", "4", "--beta-list", "1"), "--n-list"),
+            (("fig3", "--beta-list", "1", "--n-list", "4"), "--n-list"),
+            (("fig1", "--beta-list", "1", "--links", "4"), "--links"),
+            (("fig2", "--n-list", "4", "--beta", "2"), "--beta"),
+        ],
+    )
+    def test_first_misplaced_flag_named(self, capsys, argv, flag):
+        # Of two misplaced flags the error names the same one, whatever
+        # their order on the command line.
+        code, out, err = run_cli(capsys, "figure", *argv)
+        message = f"error: {flag} does not apply to {argv[0]}\n"
+        assert (code, out, err) == (2, "", message)
+
+    @pytest.mark.parametrize("backend", ["analytic", "mc", "both"])
+    def test_bad_threshold_worded_as_beta_on_every_backend(self, capsys, backend):
+        code, out, err = run_cli(
+            capsys, "figure", "fig2", "--beta-list", "1,-1", "--backend", backend
+        )
+        assert (code, out, err) == (
+            2, "", "error: sir_threshold must be finite and > 0, got -1.0\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            # One grid over k1 and both thresholds: one call per block.
+            (("fig2", "--antennas", "3", "--links", "4", "--beta-list", "0.5,2"),
+             [3, 3]),
+            # One grid per link count, each over k1.
+            (("fig1", "--antennas", "4", "--n-list", "3,6", "--seed", "3"),
+             [4, 4, 4, 4]),
+        ],
+        ids=["fig2", "fig1"],
+    )
+    def test_one_simulation_grid_per_link_count(self, capsys, monkeypatch, argv, calls):
+        # 10000 trials are two blocks; each block task draws once for
+        # every k1 candidate it covers.
+        made = []
+        block = montecarlo._link_block
+
+        def counted(num_antennas, link, k_int, candidates, *rest):
+            made.append(len(candidates))
+            return block(num_antennas, link, k_int, candidates, *rest)
+
+        monkeypatch.setattr(montecarlo, "_link_block", counted)
+        code, _, _ = run_cli(
+            capsys, "figure", *argv, "--backend", "mc", "--trials", "10000",
+            "--workers", "1",
+        )
+        assert code == 0
+        assert made == calls
+
 
 class TestNstarCommand:
     def test_reports_both_thresholds(self, capsys):

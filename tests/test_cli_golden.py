@@ -113,6 +113,11 @@ CASES = {
          "--backend", "mc", "--trials", "10000", "--seed", "9"],
         0,
     ),
+    "fig2_both": (
+        ["figure", "fig2", "--antennas", "4", "--links", "3", "--beta-list",
+         "0.5,1,2", "--backend", "both", "--trials", "10000", "--seed", "4"],
+        0,
+    ),
     "capacity_sweep_mc": (
         ["capacity", "--links", "3", "--antennas", "2", "--alloc-sweep",
          "--backend", "mc", "--trials", "10000"],
