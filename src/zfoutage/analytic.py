@@ -109,6 +109,20 @@ def _groups(others: Sequence[int]) -> list[tuple[float, int]]:
     return [(float(others.count(k) * k), k) for k in sorted(set(others))]
 
 
+def _best_response(
+    num_antennas: int, beta: float, others: Sequence[int], rate: float
+) -> int:
+    """First k = 1..M of largest rate * k * _success against ``others``' groups.
+
+    max keeps the first of equal values, so ties go to the smallest k.
+    """
+    groups = _groups(others)
+    return max(
+        range(1, num_antennas + 1),
+        key=lambda k: rate * k * _success(num_antennas, k, beta, groups),
+    )
+
+
 def success_prob_equal_k(
     num_antennas: int,
     num_links: int,
@@ -138,52 +152,62 @@ def success_prob_equal_k(
 
 
 # Relative gap between a link count's two largest ranked capacities at or
-# below which _rank_equal_k leaves that link count to the exact kernel.
+# below which _equal_k_best_responses leaves that link count to the exact
+# kernel.
 _RANK_REL_GAP = 1e-9
 
+# The threshold scan ranks link counts 64 at a time at first, then twice as
+# many each time up to this many, so its arrays hold at most M times this
+# many values whatever the cap or window.
+_SCAN_CHUNK = 1024
 
-def _rank_equal_k(
-    num_antennas: int, first_n: int, count: int, k_other: int, beta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rank k_self = 1..M by capacity at N = first_n .. first_n + count - 1.
 
-    Every interferer runs k_other streams.  The equal-k series of each
-    (k_self, N) is summed by its term recurrence on an (M, count) array:
+def _equal_k_best_responses(num_antennas: int, beta: float, k_other: int, last: int):
+    """Best response of one link at N = 2..last, every other link at k_other.
+
+    Each chunk of N is ranked first.  The equal-k series of each
+    (k_self, N) is summed by its term recurrence on an (M, chunk) array:
     with lam = (N-1)*k_other and d = beta*k_self/k_other,
 
         t_0 = exp(-lam * log1p(d)),
         t_{r+1} = t_r * (r+lam)/(r+1) * d/(1+d)   for r < M - k_self,
 
-    and the capacity is k_self * sum_r t_r.
-
-    This only ranks.  It returns, per N, the k_self of largest ranked
-    capacity and whether that N is undecided: its two largest capacities
-    lie within a relative _RANK_REL_GAP, or some candidate's t_0 is below
-    the smallest normal float.  It never returns a value that is
-    printed; the caller decides every undecided N, every close call
-    among them, with the exact kernel: _success against the one group
-    ((N-1)*k_other, k_other).  Where the gap is wider, both sums are
-    accurate far inside it, so the best k_self is the exact kernel's too.
+    and the capacity is k_self * sum_r t_r.  The ranked capacities are
+    never printed.  An N is a close call when its two largest lie within
+    a relative _RANK_REL_GAP, or when some candidate's t_0 is below the
+    smallest normal float; _best_response decides it at rate 1.  Where
+    the gap is wider, both sums are accurate far inside it, so the ranked
+    k_self is the exact kernel's too.
     """
     d = [beta * k / k_other for k in range(1, num_antennas + 1)]
     log1p_d = np.array([math.log1p(x) for x in d])
     # d/(1+d); a d that overflowed to inf has t_0 = 0, and 1 keeps its
     # terms 0 rather than nan.
     ratio = np.array([x / (1.0 + x) if x < math.inf else 1.0 for x in d])[:, None]
-    lam = (np.arange(first_n, first_n + count) - 1.0) * k_other
-    term = np.exp(np.multiply.outer(-log1p_d, lam))
-    undecided = (term < sys.float_info.min).any(axis=0)
-    total = term.copy()
-    for r in range(num_antennas - 1):
-        rows = num_antennas - 1 - r  # the k_self that have a term r + 1
-        term = term[:rows] * ratio[:rows]
-        term *= (r + lam) / (r + 1)
-        total[:rows] += term
-    capacity = total * np.arange(1.0, num_antennas + 1.0)[:, None]
-    if num_antennas > 1:
-        second, top = np.partition(capacity, num_antennas - 2, axis=0)[-2:]
-        undecided |= top - second <= _RANK_REL_GAP * top
-    return capacity.argmax(axis=0) + 1, undecided
+    streams = np.arange(1.0, num_antennas + 1.0)[:, None]
+    first, size = 2, min(64, _SCAN_CHUNK)
+    while first <= last:
+        count = min(size, last - first + 1)
+        lam = (np.arange(first, first + count) - 1.0) * k_other
+        term = np.exp(np.multiply.outer(-log1p_d, lam))
+        close = (term < sys.float_info.min).any(axis=0)
+        total = term.copy()
+        for r in range(num_antennas - 1):
+            rows = num_antennas - 1 - r  # the k_self that have a term r + 1
+            term = term[:rows] * ratio[:rows]
+            term *= (r + lam) / (r + 1)
+            total[:rows] += term
+        capacity = total * streams
+        if num_antennas > 1:
+            second, top = np.partition(capacity, num_antennas - 2, axis=0)[-2:]
+            close |= top - second <= _RANK_REL_GAP * top
+        ranked = (capacity.argmax(axis=0) + 1).tolist()
+        for n, k, exact in zip(range(first, first + count), ranked, close.tolist()):
+            if exact:
+                k = _best_response(num_antennas, beta, (k_other,) * (n - 1), 1.0)
+            yield k
+        first += count
+        size = min(2 * size, _SCAN_CHUNK)
 
 
 def success_prob_general(

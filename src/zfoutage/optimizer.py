@@ -104,28 +104,6 @@ def _link_capacities(config: SystemConfig, allocs, link: int, trials, seed, work
     return [config.rate * a.streams[link] * est.prob for a, est in zip(allocs, table)]
 
 
-def _first_max(candidates, value):
-    """The candidate with the largest ``value(candidate)``.
-
-    Only a strict improvement replaces the incumbent, so ties go to the
-    first candidate.
-    """
-    best, best_value = None, -math.inf
-    for candidate in candidates:
-        candidate_value = value(candidate)
-        if candidate_value > best_value:
-            best, best_value = candidate, candidate_value
-    return best
-
-
-def _exact_best_response(num_antennas: int, beta: float, groups, rate: float) -> int:
-    """First k = 1..M of largest rate * k * analytic._success against ``groups``."""
-    return _first_max(
-        range(1, num_antennas + 1),
-        lambda k: rate * k * analytic._success(num_antennas, k, beta, groups),
-    )
-
-
 def best_response(
     config: SystemConfig,
     alloc: StreamAllocation,
@@ -138,25 +116,27 @@ def best_response(
 ) -> int:
     """Stream count maximizing one link's own capacity, others held fixed.
 
-    Candidates k = 1..M are scanned in increasing order and only a
-    strict improvement replaces the incumbent, so ties resolve to the
-    smallest k.  The analytic objective builds no candidate allocation;
-    the montecarlo objective reuses one seed for every candidate (common
-    random numbers).
+    Candidates k = 1..M are taken in increasing order and max keeps the
+    first of equal values, so ties resolve to the smallest k.  The
+    analytic objective builds no candidate allocation; the montecarlo
+    objective reuses one seed for every candidate (common random
+    numbers).
     """
     alloc.validate_against(config)
     check_int("link index", link_index, 0, config.num_links - 1)
     _check_objective(objective, trials, seed)
     if objective == "analytic":
-        groups = analytic._groups(alloc.others(link_index))
-        return _exact_best_response(
-            config.num_antennas, config.sir_threshold, groups, config.rate
+        return analytic._best_response(
+            config.num_antennas,
+            config.sir_threshold,
+            alloc.others(link_index),
+            config.rate,
         )
     streams = range(1, config.num_antennas + 1)
     candidates = [alloc.replace(link_index, k) for k in streams]
     capacities = _link_capacities(config, candidates, link_index, trials, seed, workers)
     values = dict(zip(streams, capacities))
-    return _first_max(values, values.get)
+    return max(values, key=values.get)
 
 
 def maximize_sum_capacity(
@@ -175,8 +155,8 @@ def maximize_sum_capacity(
     exhaustive: evaluates all M^N allocations (SearchBudgetError when
     that exceeds ``budget``) and returns the full candidate table; ties
     resolve to the lexicographically smallest allocation because
-    candidates are enumerated in ascending order under strict
-    improvement.
+    candidates are enumerated in ascending order and max keeps the first
+    of equal values.
 
     coordinate: round-robin selfish best-response sweeps from the
     all-ones start until a sweep changes nothing (fixed_point=True) or
@@ -210,7 +190,7 @@ def maximize_sum_capacity(
                     for link in range(n)
                 ]
                 table.update(zip(chunk, map(math.fsum, zip(*columns))))
-        best = _first_max(table, table.get)
+        best = max(table, key=table.get)
         return SearchResult(
             best_allocation=StreamAllocation(best),
             best_value=table[best],
@@ -261,36 +241,6 @@ def maximize_sum_capacity(
 # cap.
 _ANALYTIC_CAP = 2**53
 
-# The threshold scan ranks link counts 64 at a time at first, then twice as
-# many each time up to this many, so its arrays hold at most M times this
-# many values whatever the cap or window.
-_SCAN_CHUNK = 1024
-
-
-def _equal_k_best_responses(num_antennas: int, beta: float, k_other: int, last: int):
-    """Best response of one link at N = 2..last, every other link at k_other.
-
-    Each chunk of N is ranked by analytic._rank_equal_k.  An N that the
-    ranking leaves undecided gets _exact_best_response's answer against
-    the one group ((N-1)*k_other, k_other), at rate 1.
-    """
-    first, size = 2, min(64, _SCAN_CHUNK)
-    while first <= last:
-        count = min(size, last - first + 1)
-        ranked, undecided = analytic._rank_equal_k(
-            num_antennas, first, count, k_other, beta
-        )
-        for n, best_k, exact in zip(
-            range(first, first + count), ranked.tolist(), undecided.tolist()
-        ):
-            if exact:
-                group = [(float((n - 1) * k_other), k_other)]
-                best_k = _exact_best_response(num_antennas, beta, group, 1.0)
-            yield best_k
-        first += count
-        size = min(2 * size, _SCAN_CHUNK)
-
-
 def empirical_threshold(
     num_antennas: int,
     beta: float,
@@ -316,7 +266,7 @@ def empirical_threshold(
     window = check_int("window", window, 0)
     cap = check_int("cap", cap, 2)
 
-    best_responses = _equal_k_best_responses(
+    best_responses = analytic._equal_k_best_responses(
         num_antennas, beta, k_other, cap + window
     )
     run_start = None
@@ -324,7 +274,7 @@ def empirical_threshold(
         if best_k == 1:
             if run_start is None:
                 run_start = n
-            if n - run_start >= window and run_start <= cap:
+            if n - run_start >= window:
                 try:
                     bound = min_links_single_stream(
                         num_antennas, beta, k_other, cap=_ANALYTIC_CAP

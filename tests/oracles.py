@@ -44,7 +44,7 @@ from zfoutage.core import (
     check_int,
     check_positive,
 )
-from zfoutage.optimizer import _ANALYTIC_CAP, ThresholdResult, _first_max
+from zfoutage.optimizer import _ANALYTIC_CAP, ThresholdResult
 
 # Relative singular-value floor below which the excluded columns (or
 # the residual of the stream column) count as degenerate.
@@ -229,7 +229,7 @@ def exact_threshold(
     streams = range(1, num_antennas + 1)
     run_start = None
     for n in range(2, cap + window + 1):
-        best_k = _first_max(streams, lambda k: capacity(n, k))
+        best_k = max(streams, key=lambda k: capacity(n, k))
         if best_k == 1:
             if run_start is None:
                 run_start = n

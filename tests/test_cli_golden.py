@@ -27,7 +27,7 @@ import tempfile
 
 import pytest
 
-from zfoutage import optimizer
+from zfoutage import analytic, optimizer
 from zfoutage.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -190,7 +190,7 @@ def test_golden_with_small_search_chunks(name, tmp_path, monkeypatch):
 def test_golden_with_small_scan_chunks(name, chunk, tmp_path, monkeypatch):
     # The threshold scan ranks link counts chunk by chunk; chunk borders
     # must not change a byte.
-    monkeypatch.setattr(optimizer, "_SCAN_CHUNK", chunk)
+    monkeypatch.setattr(analytic, "_SCAN_CHUNK", chunk)
     assert run_case(name, tmp_path) == expected(name)
 
 

@@ -2,6 +2,7 @@
 
 import math
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -119,6 +120,31 @@ class TestBestResponse:
         expected = 1 + values.index(max(values))
         got = best_response(cfg, alloc, 1, "montecarlo", trials=5000, seed=8, workers=2)
         assert got == expected
+
+    # Per-stream success by k_self at M=4: capacities 0.1, 0.5, 0.3 and
+    # 0.5, so k = 2 and k = 4 tie exactly in binary.
+    TIED_SUCCESS = (0.1, 0.25, 0.1, 0.125)
+
+    def test_analytic_tie_goes_to_smallest_k(self, monkeypatch):
+        monkeypatch.setattr(
+            analytic, "_success", lambda m, k, beta, groups: self.TIED_SUCCESS[k - 1]
+        )
+        cfg = SystemConfig(3, 4, 1.0)
+        assert best_response(cfg, StreamAllocation.uniform(3, 1), 0) == 2
+
+    def test_montecarlo_tie_goes_to_smallest_k(self, monkeypatch):
+        def table(config, allocs, link, trials, seed, *, workers=None):
+            return [
+                SimpleNamespace(prob=self.TIED_SUCCESS[a.streams[link] - 1])
+                for a in allocs
+            ]
+
+        monkeypatch.setattr(optimizer, "link_success_table", table)
+        cfg = SystemConfig(3, 4, 1.0)
+        got = best_response(
+            cfg, StreamAllocation.uniform(3, 1), 1, "montecarlo", trials=1000, seed=5
+        )
+        assert got == 2
 
     def test_validation(self):
         cfg = SystemConfig(2, 2, 1.0)
