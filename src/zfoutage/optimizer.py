@@ -11,6 +11,7 @@ call, and ``workers=None`` runs it on every CPU.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, islice, product
 
@@ -129,7 +130,7 @@ def best_response(
         return analytic._best_response(
             config.num_antennas,
             config.sir_threshold,
-            alloc.others(link_index),
+            Counter(alloc.others(link_index)),
             config.rate,
         )
     streams = range(1, config.num_antennas + 1)
@@ -282,6 +283,8 @@ def empirical_threshold(
                 except SearchBudgetError:
                     bound = None
                 return ThresholdResult(run_start, window, bound)
+        elif n >= cap:
+            break  # every later run would start past the cap
         else:
             run_start = None
     raise SearchBudgetError(

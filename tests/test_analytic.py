@@ -3,7 +3,7 @@
 import math
 import random
 import tracemalloc
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -213,6 +213,26 @@ class TestGeneralSuccess:
                         exact = success_prob_equal_k(m, n, k_self, k, beta)
                         general = success_prob_general(m, k_self, [k] * (n - 1), beta)
                         assert general == exact, (m, n, k_self, k, beta)
+
+    def test_fit_error_against_the_exact_form(self):
+        # Every multiset of 2-6 interferers with two or more distinct
+        # counts, every k_self and beta in {0.25, 1, 4}, at M = 2..6.  Both
+        # values are closed forms, so the worst error is exact.
+        points, worst = 0, (0.0,)
+        for m in range(2, 7):
+            for n in range(2, 7):
+                for others in combinations_with_replacement(range(1, m + 1), n):
+                    if len(set(others)) < 2:
+                        continue
+                    for k_self, beta in product(range(1, m + 1), (0.25, 1.0, 4.0)):
+                        alloc = StreamAllocation((k_self, *others))
+                        exact = link_success_prob(SystemConfig(n + 1, m, beta), alloc, 0)
+                        fit = success_prob_general(m, k_self, others, beta)
+                        worst = max(worst, (abs(fit - exact), m, k_self, others, beta))
+                        points += 1
+        assert points == 25_326
+        assert worst[1:] == (6, 2, (1, 6), 4.0)
+        assert worst[0] == pytest.approx(0.023806774029523255, rel=1e-12)
 
     def test_large_counts_use_constant_memory(self):
         # The fit never lists the sum of k_m weights.

@@ -754,10 +754,10 @@ class TestExitCodes:
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_numerical_failure_maps_to_three(self, capsys, monkeypatch):
-        def explode(config, alloc, link):
+        def explode(num_extra, s, groups):
             raise NumericalError("synthetic failure")
 
-        monkeypatch.setattr(zfoutage.analytic, "link_success_prob", explode)
+        monkeypatch.setattr(zfoutage.analytic, "_series_sum", explode)
         code, _, err = run_cli(
             capsys, "capacity", "--links", "2", "--antennas", "1", "--beta", "1"
         )

@@ -1,5 +1,6 @@
 """Best responses, allocation search, and the empirical link threshold."""
 
+import functools
 import math
 from itertools import product
 from types import SimpleNamespace
@@ -470,3 +471,34 @@ class TestRankedThresholdScan:
         # undecided already.
         with np.errstate(invalid="ignore"):
             assert _grid_mismatches(reference_thresholds) == []
+
+    def test_close_calls_do_not_grow_with_link_count(self, monkeypatch):
+        # Every N goes to the exact kernel, and the scan reaches N = 10,000;
+        # each close call still hands _groups one entry per stream count.
+        monkeypatch.setattr(analytic, "_RANK_REL_GAP", math.inf)
+        sizes = []
+        groups = analytic._groups
+
+        def spy(others):
+            sizes.append(len(others))
+            return groups(others)
+
+        monkeypatch.setattr(analytic, "_groups", spy)
+        with pytest.raises(SearchBudgetError):
+            empirical_threshold(3, 1e-15)
+        assert len(sizes) == 9_999
+        assert max(sizes) <= 3
+
+    def test_scan_stops_once_no_threshold_can_follow(
+        self, monkeypatch, count_closed_forms
+    ):
+        # The best response at beta = 1e-15 is 3 at every N, so at N = cap
+        # no run of ones can start at or below the cap, whatever the window.
+        monkeypatch.setattr(analytic, "_RANK_REL_GAP", math.inf)
+        scan = functools.partial(empirical_threshold, cap=10, window=1000)
+        outcome, calls = count_closed_forms(_threshold_outcome, scan, (3, 1e-15, 1))
+        assert outcome == (
+            "no stable single-stream threshold found up to N = 10 "
+            "(M=3, beta=1e-15, k_other=1)"
+        )
+        assert calls == 3 * 9
